@@ -88,6 +88,9 @@ def ingest_labeled_csv(path, rescale=False):
         cloud, values = PointCloud.from_csv(path, has_values=True)
     except (OSError, ValueError, GeometryError) as exc:
         raise GeometryError(f"cannot read labeled CSV {path}: {exc}") from exc
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise GeometryError(f"labeled CSV has {bad} non-finite values")
     if rescale:
         box = cloud.domain_box
         width = np.where(box[1] > box[0], box[1] - box[0], 1.0)

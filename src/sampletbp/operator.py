@@ -243,17 +243,19 @@ class BlockOperator:
     rmatvec = matvec_transpose
 
     def cols_matrix(self, idx):
+        """CSC matrix of the selected columns, in the given order."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_cols):
             raise OperatorError("column index out of range")
         offs = self._offsets()
         which = np.searchsorted(offs, idx, side="right") - 1
-        cols = []
-        for j, blk_id in zip(idx, which):
-            cols.append(self.blocks[blk_id].cols_matrix([j - offs[blk_id]]))
-        if not cols:
-            return scipy.sparse.csc_matrix((self.n_rows, 0))
-        return scipy.sparse.hstack(cols, format="csc")
+        # one slice per block, then undo the grouping by block
+        parts = [b.cols_matrix(idx[which == i] - offs[i])
+                 for i, b in enumerate(self.blocks)]
+        grouped = scipy.sparse.hstack(parts, format="csc")
+        # grouped column k is idx[order[k]]
+        order = np.argsort(which, kind="stable")
+        return grouped[:, np.argsort(order)]
 
     def gram_submatrix(self, rows_idx, cols_idx):
         A = self.cols_matrix(rows_idx)

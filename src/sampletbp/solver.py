@@ -93,6 +93,13 @@ def soft_shrinkage(v, w):
     return np.sign(v) * np.maximum(0.0, np.abs(v) - w)
 
 
+def _finite_data(h_sigma):
+    h = np.asarray(h_sigma, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise SolverError("non-finite entries in the data vector h_sigma")
+    return h
+
+
 def _objective(op, h, beta, w):
     r = h - op.matvec(beta)
     return 0.5 * float(r @ r) + float(np.abs(beta) @ np.broadcast_to(w, beta.shape))
@@ -119,7 +126,7 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None,
              max_iter=None, x0=None):
     """CG for (K^Sigma + lam I) beta = h^Sigma, optional Jacobi scaling."""
     t0 = time.perf_counter()
-    h = np.asarray(h_sigma, dtype=float)
+    h = _finite_data(h_sigma)
     n = h.shape[0]
     if lam < 0:
         raise SolverError("lam must be nonnegative")
@@ -246,49 +253,96 @@ class _GammaState:
         self.gamma = float(gamma)
         self.auto = auto
 
-    def maybe_update(self, op, active):
-        if not self.auto or active.size == 0:
+    def maybe_update(self, M_aa):
+        if not self.auto or M_aa.size == 0:
             return
-        M = op.gram_submatrix(active, active)
-        eig_min = float(scipy.linalg.eigvalsh(M, subset_by_index=[0, 0])[0])
+        eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
         if eig_min > 0:
             self.gamma = eig_min
 
 
-def _cd_burst(op, h, beta, w, active, M_aa, sweeps):
+class _GramCache:
+    """Entries of M = K^T K over the set S of column indices seen so far.
+
+    M depends on neither mu nor gamma, so one cache serves every Newton
+    iteration and continuation stage of a solve.  Only unseen indices are
+    fetched from the operator, one ``gram_submatrix(S, new)`` call each
+    time; the storage doubles when full.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.slot = np.full(op.shape[1], -1, dtype=np.int64)  # index -> row
+        self.cols = np.empty(0, dtype=np.int64)  # row -> index
+        self.M = np.empty((0, 0))
+        self.fetches = 0
+
+    @property
+    def size(self):
+        return self.cols.size
+
+    def block(self, idx):
+        """Dense Gram block M[idx, idx]."""
+        idx = np.asarray(idx, dtype=np.int64)
+        new = np.unique(idx[self.slot[idx] < 0])
+        if new.size:
+            self._add(new)
+        pos = self.slot[idx]
+        return self.M[np.ix_(pos, pos)]
+
+    def _add(self, new):
+        lo, hi = self.size, self.size + new.size
+        if hi > self.M.shape[0]:
+            cap = max(hi, 2 * self.M.shape[0])
+            M = np.empty((cap, cap))
+            M[:lo, :lo] = self.M[:lo, :lo]
+            self.M = M
+        self.cols = np.concatenate([self.cols, new])
+        self.slot[new] = np.arange(lo, hi)
+        G = self.op.gram_submatrix(self.cols, new)
+        self.fetches += 1
+        self.M[:hi, lo:hi] = G
+        self.M[lo:hi, :lo] = G[:lo].T
+
+
+def _cd_burst(kth, beta, w, active, M_aa, sweeps):
     """Cyclic coordinate descent on the weighted-l1 problem restricted to the
-    active coordinates; every inactive coordinate stays at zero."""
-    n = op.shape[1]
-    b = beta[active].copy()
-    w_a = w[active]
+    active coordinates; every inactive coordinate stays at zero.  ``kth`` is
+    K^T h."""
+    b = beta[active]
+    # negative gradient of the smooth part on the active block
+    g = kth[active] - M_aa @ b
     diag = np.diag(M_aa).copy()
     diag[diag <= 0] = 1.0
-    # negative gradient of the smooth part on the active block
-    g = op.matvec_transpose(h)[active] - M_aa @ b
+    cols = np.asfortranarray(M_aa)  # contiguous columns for the updates
+    b, d, thr = b.tolist(), diag.tolist(), (w[active] / diag).tolist()
     for _ in range(sweeps):
         delta_max = 0.0
-        for j in range(b.size):
-            z = b[j] + g[j] / diag[j]
-            bj = np.sign(z) * max(0.0, abs(z) - w_a[j] / diag[j])
+        for j in range(len(b)):
+            z = b[j] + g.item(j) / d[j]
+            s = abs(z) - thr[j]
+            s = s if s > 0.0 else 0.0
+            bj = s if z > 0 else -s if z < 0 else 0.0
             step = bj - b[j]
             if step != 0.0:
-                g -= M_aa[:, j] * step
+                g -= cols[:, j] * step
                 b[j] = bj
                 delta_max = max(delta_max, abs(step))
         if delta_max < 1e-14:
             break
-    out = np.zeros(n)
+    out = np.zeros(beta.shape[0])
     out[active] = b
     return out
 
 
 def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
-                history, cd_sweeps=50):
+                history, cache, kth, cd_sweeps=50):
     n = op.shape[1]
     iterations = 0
     r_inf = np.inf
     for _ in range(max_newton):
-        g = op.matvec_transpose(h - op.matvec(beta))
+        res = h - op.matvec(beta)
+        g = op.matvec_transpose(res)
         gamma = state.gamma
         u = beta + gamma * g
         r = beta - soft_shrinkage(u, gamma * w)
@@ -300,13 +354,15 @@ def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
             raise SolverError(
                 f"active set of size {active.size} exceeds the cap "
                 f"{active_set_cap}; the dense Newton system is infeasible")
-        state.maybe_update(op, active)
+        M_aa = cache.block(active)
+        state.maybe_update(M_aa)
         if state.gamma != gamma:
             # the active set and residual are tied to gamma; redo both
             gamma = state.gamma
             u = beta + gamma * g
             r = beta - soft_shrinkage(u, gamma * w)
             active = np.nonzero(np.abs(u) > gamma * w)[0]
+            M_aa = cache.block(active)
         if active.size == 0:
             # no coordinate may move; the fixed point is beta = 0
             beta = np.zeros(n)
@@ -314,12 +370,11 @@ def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
             history.append({"iter": iterations, "residual_inf": r_inf,
                             "active": 0})
             continue
-        M_aa = op.gram_submatrix(active, active)
         r_inactive = r.copy()
         r_inactive[active] = 0.0
         m_ai_r = op.matvec_transpose(op.matvec(r_inactive))[active]
         rhs = gamma * m_ai_r - r[active]
-        f0 = _objective(op, h, beta, w)
+        f0 = 0.5 * float(res @ res) + float(np.abs(beta) @ w)
         accepted = False
         try:
             cho = scipy.linalg.cho_factor(gamma * M_aa)
@@ -335,9 +390,8 @@ def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
             # the sweep block is widened to cover the current support so the
             # fallback cannot zero a live coordinate and lose monotonicity
             cd_active = np.union1d(active, np.nonzero(beta)[0])
-            M_cd = M_aa if cd_active.size == active.size \
-                else op.gram_submatrix(cd_active, cd_active)
-            beta_new = _cd_burst(op, h, beta, w, cd_active, M_cd, cd_sweeps)
+            beta_new = _cd_burst(kth, beta, w, cd_active,
+                                 cache.block(cd_active), cd_sweeps)
         beta = beta_new
         iterations += 1
         history.append({"iter": iterations, "residual_inf": r_inf,
@@ -346,12 +400,21 @@ def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
     return beta, iterations, r_inf
 
 
+def _ssn_counters(history, cache):
+    """Newton steps taken and rejected (coordinate-descent fallbacks), and
+    the Gram cache's fetches and columns."""
+    steps = [e["newton_step"] for e in history if "newton_step" in e]
+    return {"newton_accepted": sum(steps),
+            "newton_rejected": len(steps) - sum(steps),
+            "gram_fetches": cache.fetches, "gram_columns": cache.size}
+
+
 def mrssn(op, h_sigma, w, beta0=None, gamma=None, tol=9e-7, config=None,
           basis=None):
     """Semi-smooth Newton iteration for the weighted-l1 fixed point problem."""
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    h = np.asarray(h_sigma, dtype=float)
+    h = _finite_data(h_sigma)
     n = op.shape[1]
     w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
     if np.any(w < 0):
@@ -364,12 +427,14 @@ def mrssn(op, h_sigma, w, beta0=None, gamma=None, tol=9e-7, config=None,
             raise SolverError("gamma must be positive")
         state = _GammaState(gamma, auto=False)
     history = []
+    cache = _GramCache(op)
     beta, iterations, r_inf = _mrssn_loop(
         op, h, w, beta, state, tol, cfg.max_newton, cfg.active_set_cap,
-        history, cd_sweeps=cfg.cd_sweeps)
+        history, cache, op.matvec_transpose(h), cd_sweeps=cfg.cd_sweeps)
     return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
-                   history=history, extras={"gamma": state.gamma,
-                                            "converged": bool(r_inf < tol)})
+                   history=history, extras={
+                       "gamma": state.gamma, "converged": bool(r_inf < tol),
+                       **_ssn_counters(history, cache)})
 
 
 def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
@@ -377,7 +442,7 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
     with a solve at mu = 1."""
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    h = np.asarray(h_sigma, dtype=float)
+    h = _finite_data(h_sigma)
     n = op.shape[1]
     w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
     beta = np.zeros(n) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -390,6 +455,10 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
     total_iters = 0
     outer = 0
     r_inf = np.inf
+    # M = K^T K and K^T h do not depend on mu: one copy serves every stage
+    cache = _GramCache(op)
+    kth = op.matvec_transpose(h)
+    inner_all = []
     while True:
         inner_hist = []
         # continuation stages only need to track the weight path; the full
@@ -398,11 +467,13 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
         try:
             beta, iters, r_inf = _mrssn_loop(
                 op, h, mu * w, beta, state, cfg.tol, cap,
-                cfg.active_set_cap, inner_hist, cd_sweeps=cfg.cd_sweeps)
+                cfg.active_set_cap, inner_hist, cache, kth,
+                cd_sweeps=cfg.cd_sweeps)
         except SolverError as exc:
             raise SolverError(f"outer step {outer} (mu={mu:.6g}): {exc}") from exc
         total_iters += iters
         outer += 1
+        inner_all += inner_hist
         history.append({"outer": outer, "mu": float(mu), "newton_iters": iters,
                         "residual_inf": r_inf,
                         "active": int(np.count_nonzero(beta))})
@@ -412,7 +483,8 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
     return _finish("ir_mrssn", op, h, beta, w, total_iters, r_inf, t0, basis,
                    history=history,
                    extras={"gamma": state.gamma, "outer_steps": outer,
-                           "converged": bool(r_inf < cfg.tol)})
+                           "converged": bool(r_inf < cfg.tol),
+                           **_ssn_counters(inner_all, cache)})
 
 
 def solve_multi_kernel(block_op, h_sigma, w, config=None, bases=None,

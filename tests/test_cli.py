@@ -92,6 +92,20 @@ class TestFitEval:
         assert payload["report"]["method"] == "ir_mrssn"
         assert "est_rel_frobenius_error" in payload["operator"]
 
+    @pytest.mark.parametrize("solver", ["ridge", "mrssn", "ir_mrssn"])
+    def test_non_finite_value_rejected(self, tmp_path, rng, solver):
+        pts = rng.uniform(-0.5, 0.5, (150, 2))
+        vals = np.sin(4 * pts[:, 0])
+        vals[17] = np.nan
+        data = tmp_path / "data.csv"
+        write_points(data, pts, vals)
+        report = tmp_path / "report.json"
+        rc = run(["fit", "--data", str(data), "--q", "1", "--solver", solver,
+                  "--report", str(report),
+                  "--coefficients", str(tmp_path / "c.csv")])
+        assert rc == EXIT_BAD_INPUT
+        assert not report.exists()
+
     def test_fit_then_eval_grid(self, tmp_path, rng):
         data = self._labeled(tmp_path, rng)
         coeff = tmp_path / "c.csv"

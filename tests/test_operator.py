@@ -202,9 +202,13 @@ class TestBlockOperator:
         u = rng.standard_normal(64)
         assert np.abs(blk.matvec(v) - C @ v).max() <= 1e-12
         assert np.abs(blk.matvec_transpose(u) - C.T @ u).max() <= 1e-12
-        idx = rng.choice(128, 9, replace=False)
-        ref = (C.T @ C)[np.ix_(idx, idx)]
-        assert np.abs(blk.gram_submatrix(idx, idx) - ref).max() <= 1e-12
+        # the second set is unsorted, repeats an index and straddles blocks
+        for idx in (rng.choice(128, 9, replace=False),
+                    np.array([100, 3, 64, 127, 3, 63, 0, 70])):
+            assert np.array_equal(blk.cols_matrix(idx).toarray(), C[:, idx])
+            ref = (C.T @ C)[np.ix_(idx, idx)]
+            assert np.abs(blk.gram_submatrix(idx, idx) - ref).max() <= 1e-12
+        assert blk.cols_matrix([]).shape == (64, 0)
 
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(OperatorError):

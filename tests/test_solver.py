@@ -2,6 +2,9 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (cd_lasso, dense_op, kkt_violation, lasso_objective,
                       random_spd)
@@ -9,7 +12,7 @@ from sampletbp import (BlockOperator, CompressedOperator, KernelSpec,
                        PointCloud, SolverConfig, build_cluster_tree,
                        build_samplet_basis, compress, fista, ir_mrssn, mrssn,
                        ridge_cg, soft_shrinkage, solve_multi_kernel)
-from sampletbp.solver import SolverError
+from sampletbp.solver import SolverError, _cd_burst, _GramCache
 
 
 MATERN = KernelSpec("matern32", length=0.25)
@@ -184,6 +187,19 @@ class TestMrssn:
             assert np.abs(r).max() <= 9e-7
 
 
+@pytest.mark.parametrize("solve", [
+    lambda op, h: ridge_cg(op, h, 0.1),
+    lambda op, h: mrssn(op, h, 0.1, gamma="auto"),
+    lambda op, h: ir_mrssn(op, h, 0.1),
+], ids=["ridge_cg", "mrssn", "ir_mrssn"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_rejected(solve, bad):
+    A, h, _ = easy_lasso(3)
+    h[2] = bad
+    with pytest.raises(SolverError, match="non-finite"):
+        solve(dense_op(A), h)
+
+
 class TestIrMrssn:
     def test_zero_outer_steps_equals_plain(self):
         A, h, w = easy_lasso(13)
@@ -318,3 +334,114 @@ class TestReport:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.array_equal(table[:, 1], rep.beta)
         assert np.array_equal(table[:, 2], rep.alpha)
+
+
+def _sparse_op(seed, n_rows, n_cols):
+    rng = np.random.default_rng(seed)
+    A = scipy.sparse.random(n_rows, n_cols, density=0.3, random_state=rng)
+    return CompressedOperator.from_dense(A.toarray(), tau=1e-12)
+
+
+GRAM_OPS = {
+    "compressed": _sparse_op(1, 30, 30),
+    "block": BlockOperator(blocks=(_sparse_op(2, 30, 17),
+                                   _sparse_op(3, 30, 13),
+                                   _sparse_op(4, 30, 10))),
+}
+
+
+class _CountingOp:
+    """Operator proxy that records every Gram block request."""
+
+    def __init__(self, op):
+        self._op = op
+        self.calls = 0
+        self.fetched = []
+
+    def gram_submatrix(self, rows_idx, cols_idx):
+        self.calls += 1
+        self.fetched += list(cols_idx)
+        return self._op.gram_submatrix(rows_idx, cols_idx)
+
+    def __getattr__(self, name):
+        return getattr(self._op, name)
+
+
+def _cd_burst_reference(kth, beta, w, active, M_aa, sweeps):
+    """The coordinate-descent burst with numpy scalar arithmetic."""
+    b = beta[active].copy()
+    w_a = w[active]
+    diag = np.diag(M_aa).copy()
+    diag[diag <= 0] = 1.0
+    g = kth[active] - M_aa @ b
+    for _ in range(sweeps):
+        delta_max = 0.0
+        for j in range(b.size):
+            z = b[j] + g[j] / diag[j]
+            bj = np.sign(z) * max(0.0, abs(z) - w_a[j] / diag[j])
+            step = bj - b[j]
+            if step != 0.0:
+                g -= M_aa[:, j] * step
+                b[j] = bj
+                delta_max = max(delta_max, abs(step))
+        if delta_max < 1e-14:
+            break
+    out = np.zeros(beta.shape[0])
+    out[active] = b
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cd_burst_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    M = A.T @ A
+    kth = A.T @ rng.standard_normal(n)
+    beta = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    w = rng.uniform(0.0, 1.0, n) * (seed % 2)  # odd seeds: weighted
+    active = np.sort(rng.choice(n, 25, replace=False))
+    M_aa = M[np.ix_(active, active)]
+    sweeps = (1, 50)[seed % 3 != 0]
+    got = _cd_burst(kth, beta, w, active, M_aa, sweeps)
+    ref = _cd_burst_reference(kth, beta, w, active, M_aa, sweeps)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestGramCache:
+    @pytest.mark.parametrize("name", sorted(GRAM_OPS))
+    @settings(max_examples=60, deadline=None)
+    @given(seq=st.lists(st.lists(st.integers(0, 29), max_size=15), max_size=8))
+    def test_blocks_match_gram_submatrix(self, name, seq):
+        # growing, unsorted, repeated and empty index sets
+        op = GRAM_OPS[name]
+        cache = _GramCache(op)
+        for idx in seq:
+            ref = op.gram_submatrix(idx, idx)
+            assert cache.block(idx).shape == ref.shape
+            assert np.abs(cache.block(idx) - ref).max(initial=0.0) <= 1e-12
+        assert cache.size == len({i for idx in seq for i in idx})
+
+    def test_each_column_fetched_once(self):
+        from sampletbp.bench import BenchmarkCase, generate
+        case = BenchmarkCase(generator="spss", n=500, seed=1)
+        data = generate(case)
+        op = compress(data.basis, case.kernel, data.cloud, tau=1e-4)
+        proxy = _CountingOp(op)
+        rep = ir_mrssn(proxy, data.basis.forward(data.noisy), 2e-5)
+        assert rep.extras["converged"]
+        assert len(proxy.fetched) == len(set(proxy.fetched))
+        assert len(proxy.fetched) == rep.extras["gram_columns"]
+        assert proxy.calls == rep.extras["gram_fetches"]
+        assert 0 < proxy.calls <= rep.iterations
+        steps = rep.extras["newton_accepted"] + rep.extras["newton_rejected"]
+        assert 0 < steps <= rep.iterations
+
+    def test_mrssn_counters_match_history(self):
+        A, h, w = easy_lasso(7)
+        rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-10)
+        flags = [e["newton_step"] for e in rep.history if "newton_step" in e]
+        assert rep.extras["newton_accepted"] == sum(flags)
+        assert rep.extras["newton_rejected"] == len(flags) - sum(flags)
+        assert rep.extras["gram_columns"] <= len(h)
