@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud, build_cluster_tree
+from .geometry import BudgetError, PointCloud, build_cluster_tree
 from .kernel import KernelSpec, cross_matrix
 from .samplet import SampletBasis, build_samplet_basis
 
@@ -48,12 +48,6 @@ class BenchData:
     support: np.ndarray  # ground-truth indices (single-scale or samplet)
     support_basis: str   # "single_scale" | "samplet" | "none"
     coefficients: np.ndarray  # generator coefficients on the support
-
-
-def uniform_cloud(n, dim=2, seed=1, low=-0.5, high=0.5):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(low, high, size=(n, dim))
-    return PointCloud(pts)
 
 
 def default_leaf_capacity(m_q):
@@ -175,7 +169,7 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7,
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     m = grid_points.shape[0]
     if m * cloud.n > budget:
-        raise BenchError("grid evaluation budget exceeded")
+        raise BudgetError("grid evaluation budget exceeded")
     out = np.zeros(m)
     for alpha, spec in zip(alphas, kernels):
         alpha = np.asarray(alpha, dtype=float)

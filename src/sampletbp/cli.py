@@ -10,12 +10,13 @@ from math import comb
 import numpy as np
 
 from . import __version__
-from .bench import BenchmarkCase, cartesian_grid, generate, grid_eval, metrics
-from .geometry import GeometryError, PointCloud, build_cluster_tree
+from .bench import (BenchmarkCase, cartesian_grid, default_leaf_capacity,
+                    generate, grid_eval, metrics)
+from .geometry import BudgetError, GeometryError, PointCloud, build_cluster_tree
 from .kernel import KernelError, KernelSpec
-from .operator import OperatorError, compress
+from .operator import compress
 from .samplet import build_samplet_basis
-from .solver import SolverConfig, SolverError, fista, ir_mrssn, mrssn, ridge_cg
+from .solver import SOLVERS, SolverConfig, SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,8 +123,22 @@ def _write_json(path, payload):
 
 def _build_basis(cloud, q):
     m_q = comb(q + cloud.dim, cloud.dim)
-    tree = build_cluster_tree(cloud, 2 * m_q)
+    tree = build_cluster_tree(cloud, default_leaf_capacity(m_q))
     return build_samplet_basis(tree, cloud, q)
+
+
+def _solve(args, solver, op, h_sigma, basis):
+    """Run a solver from ``SOLVERS`` with the command's flags; returns its
+    report and the operator summary that goes into the payload."""
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, lam=args.lam,
+                       mu0=args.mu0, outer_steps=args.outer_steps)
+    w = np.full(op.shape[1], args.weight)
+    report = SOLVERS[solver](op, h_sigma, w, cfg, basis)
+    return report, {
+        "threshold": op.threshold,
+        "nnz_per_row_avg": op.nnz_per_row_avg,
+        "est_rel_frobenius_error": op.est_rel_frobenius_error,
+    }
 
 
 # -- subcommands -------------------------------------------------------------
@@ -138,7 +153,7 @@ def cmd_info(args):
         "bbox_min": list(cloud.domain_box[0]),
         "bbox_max": list(cloud.domain_box[1]),
         "moment_dim": m_q,
-        "suggested_leaf_capacity": 2 * m_q,
+        "suggested_leaf_capacity": default_leaf_capacity(m_q),
     }
     print(json.dumps(info, sort_keys=True))
     return EXIT_OK
@@ -164,35 +179,13 @@ def cmd_fit(args):
     spec = specs[0]
     basis = _build_basis(cloud, args.q)
     op = compress(basis, spec, cloud, args.tau)
-    h_sigma = basis.forward(values)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, lam=args.lam,
-                       mu0=args.mu0, outer_steps=args.outer_steps)
     solver = args.solver
     if solver == "auto":
         solver = "ridge" if args.weight == 0.0 else "ir_mrssn"
-    w = np.full(cloud.n, args.weight)
-    if solver == "ridge":
-        report = ridge_cg(op, h_sigma, args.lam * cloud.n, tol=args.tol,
-                          basis=basis,
-                          diagonal_scaling=args.diagonal_scaling)
-    elif solver == "fista":
-        report = fista(op, h_sigma, w, config=cfg, basis=basis, mode="single")
-    elif solver == "mrfista":
-        report = fista(op, h_sigma, w, config=cfg, basis=basis, mode="mr")
-    elif solver == "mrssn":
-        report = mrssn(op, h_sigma, w, tol=args.tol, config=cfg, basis=basis,
-                       gamma="auto")
-    elif solver == "ir_mrssn":
-        report = ir_mrssn(op, h_sigma, w, config=cfg, basis=basis)
-    else:
-        raise SolverError(f"unknown solver: {solver}")
+    report, op_summary = _solve(args, solver, op, basis.forward(values), basis)
     payload = _provenance(args, {
         "report": report.to_dict(include_coefficients=False),
-        "operator": {
-            "threshold": op.threshold,
-            "nnz_per_row_avg": op.nnz_per_row_avg,
-            "est_rel_frobenius_error": op.est_rel_frobenius_error,
-        },
+        "operator": op_summary,
     })
     _write_json(args.report, payload)
     report.coefficients_csv(args.coefficients)
@@ -225,33 +218,15 @@ def cmd_bench(args):
                          noise_level=args.noise, kernel=spec, q=args.q)
     data = generate(case)
     op = compress(data.basis, spec, data.cloud, args.tau)
-    h_sigma = data.basis.forward(data.noisy)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, lam=args.lam,
-                       mu0=args.mu0, outer_steps=args.outer_steps)
-    w = np.full(case.n, args.weight)
-    if args.solver == "ridge":
-        report = ridge_cg(op, h_sigma, args.lam * case.n, tol=args.tol,
-                          basis=data.basis, diagonal_scaling=True)
-    elif args.solver == "fista":
-        report = fista(op, h_sigma, w, config=cfg, basis=data.basis,
-                       mode="single")
-    elif args.solver == "mrfista":
-        report = fista(op, h_sigma, w, config=cfg, basis=data.basis, mode="mr")
-    elif args.solver == "mrssn":
-        report = ir_mrssn(op, h_sigma, w, config=cfg, basis=data.basis)
-    else:
-        raise SolverError(f"unknown solver: {args.solver}")
+    report, op_summary = _solve(args, args.solver, op,
+                                data.basis.forward(data.noisy), data.basis)
     rec = metrics(report, data, op=op)
     table_time = rec["wall_time"]
     if args.no_timings:
         rec = {k: v for k, v in rec.items() if k != "wall_time"}
     payload = _provenance(args, {
         "metrics": rec,
-        "operator": {
-            "threshold": op.threshold,
-            "nnz_per_row_avg": op.nnz_per_row_avg,
-            "est_rel_frobenius_error": op.est_rel_frobenius_error,
-        },
+        "operator": op_summary,
         "report": report.to_dict(include_coefficients=False,
                                  include_timings=not args.no_timings),
     })
@@ -287,9 +262,6 @@ def build_parser():
         description="Multiresolution scattered-data approximation with "
                     "samplets and l1 sparsity constraints.",
         epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=1,
-                   help="internal parallelism (0 = auto); desk-scale build "
-                        "is single-threaded")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, solver=True):
@@ -327,12 +299,10 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--report", default="report.json")
     sp.add_argument("--coefficients", default="coefficients.csv")
-    sp.add_argument("--solver", default="auto",
-                    choices=["auto", "ridge", "fista", "mrfista", "mrssn",
-                             "ir_mrssn"])
+    sp.add_argument("--solver", default="auto", choices=["auto", *SOLVERS],
+                    help="auto: ridge for --weight 0, else ir_mrssn")
     sp.add_argument("--rescale", action="store_true",
                     help="map the bounding box to the unit cube")
-    sp.add_argument("--diagonal-scaling", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_fit)
 
@@ -351,8 +321,7 @@ def build_parser():
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--noise", type=float, default=0.05)
-    sp.add_argument("--solver", default="mrssn",
-                    choices=["ridge", "fista", "mrfista", "mrssn"])
+    sp.add_argument("--solver", default="ir_mrssn", choices=list(SOLVERS))
     sp.add_argument("--report", default="report.json")
     sp.add_argument("--table", default="table.csv")
     sp.add_argument("--field", help="optional grid-field CSV output")
@@ -372,18 +341,15 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GeometryError, ValueError) as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        msg = str(exc)
-        if "cap" in msg or "budget" in msg:
-            return EXIT_BUDGET
+        return EXIT_BUDGET
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 def main():

@@ -11,6 +11,10 @@ class GeometryError(ValueError):
     pass
 
 
+class BudgetError(ValueError):
+    """A size or work budget would be exceeded (CLI exit code 4)."""
+
+
 def bounding_box(points):
     """Componentwise min/max box of a nonempty point set, shape (2, d)."""
     pts = np.asarray(points, dtype=float)
@@ -58,12 +62,11 @@ class PointCloud:
     @staticmethod
     def from_csv(path, has_values=False):
         """Load `x1,...,xd[,value]` rows; header row is skipped if non-numeric."""
-        rows, values = _read_numeric_csv(path)
+        rows = _read_numeric_csv(path)
         if has_values:
             if rows.shape[1] < 2:
                 raise GeometryError("need at least one coordinate and one value column")
             return PointCloud(rows[:, :-1]), rows[:, -1]
-        del values
         return PointCloud(rows)
 
 
@@ -81,7 +84,7 @@ def _read_numeric_csv(path):
         raise GeometryError(f"malformed CSV {path}: {exc}") from exc
     if data.size == 0:
         raise GeometryError(f"empty CSV file: {path}")
-    return data, None
+    return data
 
 
 @dataclass

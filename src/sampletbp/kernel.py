@@ -8,7 +8,7 @@ from math import sqrt
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import PointCloud
+from .geometry import BudgetError, PointCloud
 
 
 class KernelError(ValueError):
@@ -131,7 +131,7 @@ def cross_matrix(spec: KernelSpec, xs, ys):
 def assemble_dense(spec: KernelSpec, cloud: PointCloud, cap=65536):
     """Dense kernel matrix K[i, j] = k(x_i, x_j), symmetrized exactly."""
     if cloud.n > cap:
-        raise KernelError(f"dense assembly capped at N = {cap}")
+        raise BudgetError(f"dense assembly capped at N = {cap}")
     K = cross_matrix(spec, cloud.points, cloud.points)
     # in-place symmetrization keeps the peak memory at one extra buffer
     K += K.T

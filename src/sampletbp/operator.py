@@ -3,6 +3,7 @@ matvecs, column Gram blocks, multi-kernel stacking, Lipschitz estimates."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ class OperatorError(ValueError):
 
 
 _MAGIC = b"SMPK1"
+_HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
 
 
 @dataclass
@@ -60,9 +62,7 @@ class CompressedOperator:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n_rows:
             raise OperatorError("matvec_transpose length mismatch")
-        return self._columns() .T @ v
-
-    rmatvec = matvec_transpose
+        return self._columns().T @ v
 
     def diagonal(self):
         return self.matrix.diagonal()
@@ -97,8 +97,8 @@ class CompressedOperator:
         m = self.matrix
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<QQQdd", m.shape[0], m.shape[1], m.nnz,
-                                 self.threshold, self.est_rel_frobenius_error))
+            fh.write(_HEADER.pack(m.shape[0], m.shape[1], m.nnz,
+                                  self.threshold, self.est_rel_frobenius_error))
             fh.write(m.indptr.astype("<u8").tobytes())
             fh.write(m.indices.astype("<u8").tobytes())
             fh.write(m.data.astype("<f8").tobytes())
@@ -108,13 +108,28 @@ class CompressedOperator:
         with open(path, "rb") as fh:
             if fh.read(5) != _MAGIC:
                 raise OperatorError("bad magic bytes in operator file")
-            n_rows, n_cols, nnz, tau, est = struct.unpack("<QQQdd", fh.read(40))
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise OperatorError("truncated operator file header")
+            n_rows, n_cols, nnz, tau, est = _HEADER.unpack(header)
+            # check the sizes against the file before allocating anything
+            expected = len(_MAGIC) + _HEADER.size + 8 * (n_rows + 1 + 2 * nnz)
+            actual = os.fstat(fh.fileno()).st_size
+            if actual != expected:
+                raise OperatorError(
+                    f"operator file has {actual} bytes; its header "
+                    f"({n_rows} rows, {nnz} nonzeros) implies {expected}")
             indptr = np.frombuffer(fh.read(8 * (n_rows + 1)), dtype="<u8")
             indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8")
             data = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
         mat = scipy.sparse.csr_matrix(
             (data.copy(), indices.astype(np.int64), indptr.astype(np.int64)),
             shape=(n_rows, n_cols))
+        try:
+            # an out-of-range index would crash the matvecs later
+            mat.check_format(full_check=True)
+        except ValueError as exc:
+            raise OperatorError(f"corrupt operator file: {exc}") from exc
         return CompressedOperator(matrix=mat, threshold=tau,
                                   est_rel_frobenius_error=est)
 
@@ -160,29 +175,27 @@ class CompressedOperator:
 
 
 def transform_two_sided(basis: SampletBasis, K):
-    """Dense T K T^T via two passes of the fast transform over columns."""
-    B = basis.forward(K)            # T K
-    C = basis.forward(np.ascontiguousarray(B.T))  # T (T K)^T
+    """Dense T K T^T via two passes of the fast transform over columns.
+
+    Takes over K: each pass's input is released before the next pass, so
+    the peak stays at roughly three N x N arrays when the caller holds no
+    other reference to K.  The result is returned as the transposed view of
+    the second pass's output, which holds T K^T T^T.
+    """
+    B = basis.forward(K)  # T K
+    del K
+    Bt = np.ascontiguousarray(B.T)
     del B
-    return np.ascontiguousarray(C.T)
+    C = basis.forward(Bt)  # T (T K)^T
+    return C.T
 
 
 def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     """Samplet-compressed kernel operator K^Sigma_eps at desk scale: dense
-    assembly, exact two-sided transform, a-posteriori thresholding.
-
-    Buffers are released between the two transform passes so the peak
-    memory stays at roughly three N x N arrays.
-    """
-    if cloud.n > cap:
-        raise OperatorError(f"dense compression path capped at N = {cap}")
-    K = assemble_dense(spec, cloud, cap=cap)
-    B = basis.forward(K)
-    del K
-    Bt = np.ascontiguousarray(B.T)
-    del B
-    C = basis.forward(Bt)  # (T K T^T)^T for symmetric K
-    del Bt
+    assembly, exact two-sided transform, a-posteriori thresholding."""
+    # .T gives back the contiguous buffer; K is symmetric, so it holds
+    # T K T^T up to rounding
+    C = transform_two_sided(basis, assemble_dense(spec, cloud, cap=cap)).T
     # the exact transform of a symmetric matrix is symmetric up to rounding;
     # enforcing it keeps the sparsity pattern symmetric after thresholding
     C += C.T
@@ -239,8 +252,6 @@ class BlockOperator:
         if v.shape[0] != self.n_rows:
             raise OperatorError("matvec_transpose length mismatch")
         return np.concatenate([b.matvec_transpose(v) for b in self.blocks])
-
-    rmatvec = matvec_transpose
 
     def cols_matrix(self, idx):
         """CSC matrix of the selected columns, in the given order."""

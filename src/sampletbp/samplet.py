@@ -277,14 +277,6 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
                         root_scaling_vectors=root_scaling_vectors, levels=levels)
 
 
-def forward_transform(basis: SampletBasis, v):
-    return basis.forward(v)
-
-
-def inverse_transform(basis: SampletBasis, w):
-    return basis.inverse(w)
-
-
 def coefficient_l1_profile(basis: SampletBasis):
     """Per-level maxima of the coefficient-vector 1-norms and a fitted growth
     constant for the model max_l1(j) ~ c * 2^((J - j) / 2).  Diagnostic."""

@@ -18,19 +18,20 @@ class SolverError(RuntimeError):
     pass
 
 
+MAX_NEWTON = 100  # Newton iterations of a plain solve and of the final stage
+STAGE_NEWTON = 10  # Newton iterations of each earlier continuation stage
+CD_SWEEPS = 50  # coordinate-descent sweeps per rejected Newton step
+
+
 @dataclass
 class SolverConfig:
     tol: float = 9e-7
     max_iter: int = 10000
-    lam: float = 0.0
+    lam: float = 0.0  # ridge regularization as lambda / N
     gamma: object = "auto"  # positive float or "auto"
     mu0: float = 1.05
     outer_steps: int = 250
-    diagonal_scaling: bool = False
     active_set_cap: int = 20000
-    max_newton: int = 100
-    stage_newton: int = 10
-    cd_sweeps: int = 50
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -191,7 +192,7 @@ def fista(op, h_sigma, w, config=None, basis=None, x0=None, mode="mr",
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    h = np.asarray(h_sigma, dtype=float)
+    h = _finite_data(h_sigma)
     n = op.shape[1]
     w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
     if np.any(w < 0):
@@ -336,7 +337,7 @@ def _cd_burst(kth, beta, w, active, M_aa, sweeps):
 
 
 def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
-                history, cache, kth, cd_sweeps=50):
+                history, cache, kth):
     n = op.shape[1]
     iterations = 0
     r_inf = np.inf
@@ -391,7 +392,7 @@ def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
             # fallback cannot zero a live coordinate and lose monotonicity
             cd_active = np.union1d(active, np.nonzero(beta)[0])
             beta_new = _cd_burst(kth, beta, w, cd_active,
-                                 cache.block(cd_active), cd_sweeps)
+                                 cache.block(cd_active), CD_SWEEPS)
         beta = beta_new
         iterations += 1
         history.append({"iter": iterations, "residual_inf": r_inf,
@@ -429,8 +430,8 @@ def mrssn(op, h_sigma, w, beta0=None, gamma=None, tol=9e-7, config=None,
     history = []
     cache = _GramCache(op)
     beta, iterations, r_inf = _mrssn_loop(
-        op, h, w, beta, state, tol, cfg.max_newton, cfg.active_set_cap,
-        history, cache, op.matvec_transpose(h), cd_sweeps=cfg.cd_sweeps)
+        op, h, w, beta, state, tol, MAX_NEWTON, cfg.active_set_cap,
+        history, cache, op.matvec_transpose(h))
     return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
                    history=history, extras={
                        "gamma": state.gamma, "converged": bool(r_inf < tol),
@@ -463,12 +464,11 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
         inner_hist = []
         # continuation stages only need to track the weight path; the full
         # Newton budget is reserved for the final stage at mu = 1
-        cap = cfg.max_newton if mu <= 1.0 else cfg.stage_newton
+        cap = MAX_NEWTON if mu <= 1.0 else STAGE_NEWTON
         try:
             beta, iters, r_inf = _mrssn_loop(
                 op, h, mu * w, beta, state, cfg.tol, cap,
-                cfg.active_set_cap, inner_hist, cache, kth,
-                cd_sweeps=cfg.cd_sweeps)
+                cfg.active_set_cap, inner_hist, cache, kth)
         except SolverError as exc:
             raise SolverError(f"outer step {outer} (mu={mu:.6g}): {exc}") from exc
         total_iters += iters
@@ -487,16 +487,30 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
                            **_ssn_counters(inner_all, cache)})
 
 
+# solver name -> (op, h_sigma, w, cfg, basis) -> SolveReport; ridge ignores w,
+# solves with lam = cfg.lam * N and always uses Jacobi scaling
+SOLVERS = {
+    "ridge": lambda op, h, w, cfg, basis: ridge_cg(
+        op, h, cfg.lam * op.shape[1], tol=cfg.tol, basis=basis,
+        diagonal_scaling=True),
+    "fista": lambda op, h, w, cfg, basis: fista(
+        op, h, w, config=cfg, basis=basis, mode="single"),
+    "mrfista": lambda op, h, w, cfg, basis: fista(
+        op, h, w, config=cfg, basis=basis, mode="mr"),
+    "mrssn": lambda op, h, w, cfg, basis: mrssn(
+        op, h, w, gamma=cfg.gamma, tol=cfg.tol, config=cfg, basis=basis),
+    "ir_mrssn": lambda op, h, w, cfg, basis: ir_mrssn(
+        op, h, w, config=cfg, basis=basis),
+}
+
+
 def solve_multi_kernel(block_op, h_sigma, w, config=None, bases=None,
                        method="ir_mrssn"):
     """Run a sparse solver on a stacked multi-kernel operator."""
-    cfg = config or SolverConfig()
-    if method == "ir_mrssn":
-        report = ir_mrssn(block_op, h_sigma, w, config=cfg)
-    elif method == "mrfista":
-        report = fista(block_op, h_sigma, w, config=cfg, mode="mr")
-    else:
+    if method not in ("ir_mrssn", "mrfista"):
         raise SolverError(f"unsupported multi-kernel method: {method}")
+    report = SOLVERS[method](block_op, h_sigma, w, config or SolverConfig(),
+                             None)
     parts = block_op.split(report.beta)
     if bases is not None:
         report.alpha = np.concatenate(

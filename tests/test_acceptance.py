@@ -309,7 +309,7 @@ class TestDeterminism:
         reports = []
         for _attempt in range(2):
             code = run(["bench", "--case", "spss", "--n", "512", "--seed", "3",
-                        "--solver", "mrssn", "--no-timings",
+                        "--solver", "ir_mrssn", "--no-timings",
                         "--report", str(path), "--table", str(table)])
             assert code == 0
             reports.append(path.read_bytes())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sampletbp import KernelSpec, PointCloud, generate, grid_eval, metrics
+from sampletbp import (BudgetError, KernelSpec, PointCloud, generate,
+                       grid_eval, metrics)
 from sampletbp.bench import (BenchError, BenchmarkCase, cartesian_grid,
                              spms_index_window)
 from sampletbp.kernel import assemble_dense, evaluate
@@ -173,7 +174,7 @@ class TestGridEval:
 
     def test_budget(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, (100, 2)))
-        with pytest.raises(BenchError):
+        with pytest.raises(BudgetError):
             grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
                       np.zeros((200, 2)), budget=100)
 

@@ -8,6 +8,7 @@ import pytest
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
                            ingest_labeled_csv, kernels_from_config,
                            parse_config_file, run)
+from sampletbp.solver import SOLVERS
 
 
 def write_points(path, pts, values=None):
@@ -106,6 +107,13 @@ class TestFitEval:
         assert rc == EXIT_BAD_INPUT
         assert not report.exists()
 
+    def test_missing_data_file_is_bad_input(self, tmp_path):
+        # the path contains "cap"; the exit code must not depend on it
+        rc = run(["fit", "--data", str(tmp_path / "no_such_capture.csv"),
+                  "--report", str(tmp_path / "r.json"),
+                  "--coefficients", str(tmp_path / "c.csv")])
+        assert rc == EXIT_BAD_INPUT
+
     def test_fit_then_eval_grid(self, tmp_path, rng):
         data = self._labeled(tmp_path, rng)
         coeff = tmp_path / "c.csv"
@@ -165,6 +173,32 @@ class TestBench:
 
     def test_unknown_flag_exit_code(self, capsys):
         assert run(["bench", "--case", "spss", "--frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_fit_and_bench_run_the_named_solver(tmp_path, rng, solver):
+    pts = rng.uniform(-0.5, 0.5, (150, 2))
+    data = tmp_path / "data.csv"
+    write_points(data, pts, np.sin(4 * pts[:, 0]) * pts[:, 1])
+    small = ["--solver", solver, "--q", "1", "--max-iter", "50",
+             "--outer-steps", "5"]
+    fit, bench = tmp_path / "fit.json", tmp_path / "bench.json"
+    assert run(["fit", "--data", str(data), "--report", str(fit),
+                "--coefficients", str(tmp_path / "c.csv"), *small]) == EXIT_OK
+    assert run(["bench", "--case", "spss", "--n", "150", "--report",
+                str(bench), "--table", str(tmp_path / "t.csv"),
+                *small]) == EXIT_OK
+    method = "ridge_cg" if solver == "ridge" else solver
+    for path in (fit, bench):
+        assert json.loads(path.read_text())["report"]["method"] == method
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "2", "info", "{csv}"],
+    ["fit", "--data", "{csv}", "--diagonal-scaling"],
+], ids=["threads", "diagonal-scaling"])
+def test_removed_flags_are_usage_errors(argv, cloud_csv):
+    assert run([a.format(csv=cloud_csv) for a in argv]) == EXIT_USAGE
 
 
 class TestIngest:

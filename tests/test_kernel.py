@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sampletbp import Dictionary, KernelSpec, PointCloud, assemble_dense, evaluate
+from sampletbp import (BudgetError, Dictionary, KernelSpec, PointCloud,
+                       assemble_dense, evaluate)
 from sampletbp.kernel import KernelError, cross_matrix, radial_profile
 
 
@@ -105,7 +106,7 @@ class TestAssemble:
 
     def test_cap(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, (20, 2)))
-        with pytest.raises(KernelError):
+        with pytest.raises(BudgetError):
             assemble_dense(RADIAL[0], cloud, cap=10)
 
 

@@ -1,12 +1,14 @@
+import struct
 from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import dense_op, random_spd
-from sampletbp import (BlockOperator, CompressedOperator, KernelSpec,
-                       PointCloud, assemble_dense, build_cluster_tree,
-                       build_samplet_basis, compress, estimate_lipschitz)
+from sampletbp import (BlockOperator, BudgetError, CompressedOperator,
+                       KernelSpec, PointCloud, assemble_dense,
+                       build_cluster_tree, build_samplet_basis, compress,
+                       estimate_lipschitz)
 from sampletbp.operator import OperatorError, transform_two_sided
 
 
@@ -86,7 +88,7 @@ class TestCompress:
 
     def test_cap(self, rng):
         cloud, basis = make_setup(rng, 32)
-        with pytest.raises(OperatorError):
+        with pytest.raises(BudgetError):
             compress(basis, MATERN, cloud, tau=1e-4, cap=16)
 
 
@@ -230,6 +232,39 @@ class TestSerialization:
         path = tmp_path / "bad.smpk"
         path.write_bytes(b"NOPE!" + b"\0" * 64)
         with pytest.raises(OperatorError):
+            CompressedOperator.load(path)
+
+    def test_truncated_file_rejected(self, rng, tmp_path):
+        path = tmp_path / "op.smpk"
+        CompressedOperator.from_dense(rng.standard_normal((4, 4)),
+                                      tau=0.5).save(path)
+        raw = path.read_bytes()
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(OperatorError):
+                CompressedOperator.load(path)
+
+    def test_oversized_header_rejected(self, rng, tmp_path):
+        path = tmp_path / "op.smpk"
+        CompressedOperator.from_dense(rng.standard_normal((4, 4)),
+                                      tau=0.5).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[5:13] = struct.pack("<Q", 2**40)  # n_rows
+        path.write_bytes(bytes(raw))
+        with pytest.raises(OperatorError, match="implies"):
+            CompressedOperator.load(path)
+
+    @pytest.mark.parametrize("where, value", [
+        (5 + 40 + 8, 7),  # indptr[1] past nnz
+        (5 + 40 + 8 * 5, 10**6),  # column index 0 out of range
+    ], ids=["row-offset", "column-index"])
+    def test_corrupt_arrays_rejected(self, tmp_path, where, value):
+        path = tmp_path / "op.smpk"
+        CompressedOperator.from_dense(np.eye(4), tau=0.5).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[where:where + 8] = struct.pack("<Q", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(OperatorError, match="corrupt"):
             CompressedOperator.load(path)
 
     def test_matrix_market_export(self, rng, tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sampletbp import (PointCloud, build_cluster_tree, build_samplet_basis,
-                       coefficient_l1_profile, forward_transform,
-                       inverse_transform, verify_dual_basis)
+                       coefficient_l1_profile, verify_dual_basis)
 from sampletbp.kernel import KernelSpec, assemble_dense
 from sampletbp.samplet import moment_matrix, multi_indices
 
@@ -137,9 +136,9 @@ class TestTransforms:
         from sampletbp.samplet import SampletError
         _, basis = make_basis(rng.uniform(-1, 1, (50, 2)), 1)
         with pytest.raises(SampletError):
-            forward_transform(basis, np.zeros(49))
+            basis.forward(np.zeros(49))
         with pytest.raises(SampletError):
-            inverse_transform(basis, np.zeros(51))
+            basis.inverse(np.zeros(51))
 
 
 class TestInvariants:

@@ -191,7 +191,8 @@ class TestMrssn:
     lambda op, h: ridge_cg(op, h, 0.1),
     lambda op, h: mrssn(op, h, 0.1, gamma="auto"),
     lambda op, h: ir_mrssn(op, h, 0.1),
-], ids=["ridge_cg", "mrssn", "ir_mrssn"])
+    lambda op, h: fista(op, h, 0.1, mode="mr"),
+], ids=["ridge_cg", "mrssn", "ir_mrssn", "mrfista"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_data_rejected(solve, bad):
     A, h, _ = easy_lasso(3)
