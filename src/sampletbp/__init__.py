@@ -11,19 +11,18 @@ __version__ = "0.1.0"
 from .bench import BenchmarkCase, generate, grid_eval, metrics
 from .geometry import (BudgetError, ClusterTree, PointCloud, bounding_box,
                        build_cluster_tree)
-from .kernel import Dictionary, KernelSpec, assemble_dense, evaluate
-from .operator import (BlockOperator, CompressedOperator, compress,
-                       estimate_lipschitz)
+from .kernel import KernelSpec, assemble_dense, evaluate
+from .operator import CompressedOperator, compress, estimate_lipschitz
 from .samplet import (SampletBasis, build_samplet_basis,
                       coefficient_l1_profile, verify_dual_basis)
 from .solver import (SolveReport, SolverConfig, fista, ir_mrssn, mrssn,
                      ridge_cg, soft_shrinkage, solve_multi_kernel)
 
 __all__ = [
-    "BenchmarkCase", "BlockOperator", "BudgetError", "ClusterTree",
-    "CompressedOperator", "Dictionary", "KernelSpec", "PointCloud",
-    "SampletBasis", "SolveReport", "SolverConfig", "assemble_dense",
-    "bounding_box", "build_cluster_tree", "build_samplet_basis",
+    "BenchmarkCase", "BudgetError", "ClusterTree", "CompressedOperator",
+    "KernelSpec", "PointCloud", "SampletBasis", "SolveReport", "SolverConfig",
+    "assemble_dense", "bounding_box", "build_cluster_tree",
+    "build_samplet_basis",
     "coefficient_l1_profile", "compress", "estimate_lipschitz", "evaluate",
     "fista", "generate", "grid_eval", "ir_mrssn", "metrics", "mrssn",
     "ridge_cg", "soft_shrinkage", "solve_multi_kernel", "verify_dual_basis",

@@ -16,6 +16,9 @@ class BenchError(ValueError):
 
 
 GENERATORS = ("spss", "spms", "cartoon")
+# a ridge coefficient below this share of the largest one does not count
+# towards beta_nnz
+RIDGE_DROP_REL = 1e-4
 
 
 @dataclass
@@ -118,22 +121,20 @@ def generate(case: BenchmarkCase):
                      coefficients=coeffs)
 
 
-def metrics(report, data: BenchData, op=None, ridge_drop_rel=1e-4):
-    """Table-style metric record for a solve on benchmark data."""
+def metrics(report, data: BenchData, op):
+    """Table-style metric record for a solve on benchmark data; ``op`` is
+    the operator the solve used, so its fit can be compared with the clean
+    data."""
     beta = np.asarray(report.beta).ravel()
     alpha = np.asarray(report.alpha).ravel()
     if report.method == "ridge_cg":
         amax = np.abs(beta).max()
-        nnz = int(np.count_nonzero(np.abs(beta) > ridge_drop_rel * amax)) \
+        nnz = int(np.count_nonzero(np.abs(beta) > RIDGE_DROP_REL * amax)) \
             if amax > 0 else 0
     else:
         nnz = int(np.count_nonzero(beta))
     clean_sigma = data.basis.forward(data.clean)
-    if op is not None:
-        fit = op.matvec(beta)
-    else:
-        fit = clean_sigma  # degenerate; caller supplied no operator
-    resid = fit - clean_sigma
+    resid = op.matvec(beta) - clean_sigma
     denom = np.linalg.norm(clean_sigma)
     rel_l2 = float(np.linalg.norm(resid) / denom) if denom > 0 else 0.0
     denom_inf = np.abs(clean_sigma).max()

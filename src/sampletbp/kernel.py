@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -45,20 +45,6 @@ class KernelSpec:
             raise KernelError("correlation length must be positive")
         if self.family == "tensor" and not self.components:
             raise KernelError("tensor kernel needs components")
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Ordered multi-kernel dictionary K = [K_1, ..., K_L]."""
-
-    kernels: tuple
-
-    def __post_init__(self):
-        if len(self.kernels) < 1:
-            raise KernelError("dictionary must contain at least one kernel")
-
-    def __len__(self):
-        return len(self.kernels)
 
 
 def radial_profile(spec: KernelSpec, r, dim):

@@ -173,6 +173,25 @@ class CompressedOperator:
         return CompressedOperator(matrix=mat, threshold=float(tau),
                                   est_rel_frobenius_error=float(est))
 
+    @staticmethod
+    def hstack(ops):
+        """Horizontal stack [K_1, ..., K_L] acting on stacked coefficients.
+
+        Every dropped entry lies below the largest block threshold, and the
+        stack's squared relative error is a weighted mean of the blocks'
+        squared errors, so the largest block estimate bounds it.
+        """
+        ops = tuple(ops)
+        if not ops:
+            raise OperatorError("hstack needs at least one block")
+        if len({op.n_rows for op in ops}) != 1:
+            raise OperatorError("all blocks must share n_rows")
+        mat = scipy.sparse.hstack([op.matrix for op in ops], format="csr")
+        return CompressedOperator(
+            matrix=mat, threshold=max(op.threshold for op in ops),
+            est_rel_frobenius_error=max(op.est_rel_frobenius_error
+                                        for op in ops))
+
 
 def transform_two_sided(basis: SampletBasis, K):
     """Dense T K T^T via two passes of the fast transform over columns.
@@ -201,77 +220,6 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     C += C.T
     C *= 0.5
     return CompressedOperator.from_dense(C, tau)
-
-
-@dataclass
-class BlockOperator:
-    """Horizontal stack [K_1, ..., K_L] acting on stacked coefficients."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        if len(self.blocks) < 1:
-            raise OperatorError("block operator needs at least one block")
-        rows = {b.n_rows for b in self.blocks}
-        if len(rows) != 1:
-            raise OperatorError("all blocks must share n_rows")
-
-    @property
-    def n_rows(self):
-        return self.blocks[0].n_rows
-
-    @property
-    def n_cols(self):
-        return sum(b.n_cols for b in self.blocks)
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    def _offsets(self):
-        offs = [0]
-        for b in self.blocks:
-            offs.append(offs[-1] + b.n_cols)
-        return offs
-
-    def split(self, v):
-        offs = self._offsets()
-        return [np.asarray(v)[offs[i]:offs[i + 1]] for i in range(len(self.blocks))]
-
-    def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n_cols:
-            raise OperatorError("matvec length mismatch")
-        out = np.zeros(self.n_rows)
-        for b, part in zip(self.blocks, self.split(v)):
-            out += b.matvec(part)
-        return out
-
-    def matvec_transpose(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n_rows:
-            raise OperatorError("matvec_transpose length mismatch")
-        return np.concatenate([b.matvec_transpose(v) for b in self.blocks])
-
-    def cols_matrix(self, idx):
-        """CSC matrix of the selected columns, in the given order."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_cols):
-            raise OperatorError("column index out of range")
-        offs = self._offsets()
-        which = np.searchsorted(offs, idx, side="right") - 1
-        # one slice per block, then undo the grouping by block
-        parts = [b.cols_matrix(idx[which == i] - offs[i])
-                 for i, b in enumerate(self.blocks)]
-        grouped = scipy.sparse.hstack(parts, format="csc")
-        # grouped column k is idx[order[k]]
-        order = np.argsort(which, kind="stable")
-        return grouped[:, np.argsort(order)]
-
-    def gram_submatrix(self, rows_idx, cols_idx):
-        A = self.cols_matrix(rows_idx)
-        B = self.cols_matrix(cols_idx)
-        return np.asarray((A.T @ B).todense())
 
 
 def estimate_lipschitz(op, tol=1e-4, max_iter=100, safety=1.01, seed=20240501):

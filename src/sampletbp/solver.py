@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .operator import estimate_lipschitz
+from .operator import CompressedOperator, estimate_lipschitz
 
 
 class SolverError(RuntimeError):
@@ -101,6 +101,14 @@ def _finite_data(h_sigma):
     return h
 
 
+def _weights(w, n):
+    """The weights broadcast to n coordinates, as a writable copy."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
+    if np.any(w < 0):
+        raise SolverError("weights must be nonnegative")
+    return w
+
+
 def _objective(op, h, beta, w):
     r = h - op.matvec(beta)
     return 0.5 * float(r @ r) + float(np.abs(beta) @ np.broadcast_to(w, beta.shape))
@@ -123,16 +131,14 @@ def _finish(method, op, h, beta, w, iterations, residual_inf, t0, basis=None,
 
 # -- ridge regression -------------------------------------------------------
 
-def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None,
-             max_iter=None, x0=None):
-    """CG for (K^Sigma + lam I) beta = h^Sigma, optional Jacobi scaling."""
+def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
+    """CG for (K^Sigma + lam I) beta = h^Sigma, optional Jacobi scaling;
+    starts from zero and stops after at most 10 N iterations."""
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = h.shape[0]
     if lam < 0:
         raise SolverError("lam must be nonnegative")
-    if max_iter is None:
-        max_iter = 10 * n
 
     def apply_A(v):
         return op.matvec(v) + lam * v
@@ -144,7 +150,7 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None,
             raise SolverError("nonpositive diagonal; Jacobi scaling unusable")
         inv_diag = 1.0 / diag
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     r = h - apply_A(x)
     z = r * inv_diag if inv_diag is not None else r
     p = z.copy()
@@ -154,7 +160,7 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None,
         return _finish("ridge_cg", op, h, x, 0.0, 0, 0.0, t0, basis)
     history = []
     iterations = 0
-    for k in range(max_iter):
+    for k in range(10 * n):
         if np.linalg.norm(r) / nh <= tol:
             break
         Ap = apply_A(p)
@@ -181,9 +187,8 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None,
 
 # -- FISTA ------------------------------------------------------------------
 
-def fista(op, h_sigma, w, config=None, basis=None, x0=None, mode="mr",
-          delta=None):
-    """Fixed-step FISTA.
+def fista(op, h_sigma, w, config=None, basis=None, mode="mr"):
+    """Fixed-step FISTA from zero, with step 1 / estimate_lipschitz(op).
 
     mode "single": iterates live in single-scale coordinates, shrinkage is
     applied after mapping back with T^T (requires a basis).  mode "mr":
@@ -194,17 +199,14 @@ def fista(op, h_sigma, w, config=None, basis=None, x0=None, mode="mr",
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = op.shape[1]
-    w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
-    if np.any(w < 0):
-        raise SolverError("weights must be nonnegative")
+    w = _weights(w, n)
     if mode not in ("mr", "single"):
         raise SolverError(f"unknown FISTA mode: {mode}")
     if mode == "single" and basis is None:
         raise SolverError("single-scale FISTA needs the samplet basis")
-    if delta is None:
-        delta = 1.0 / estimate_lipschitz(op)
+    delta = 1.0 / estimate_lipschitz(op)
 
-    x_prev = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x_prev = np.zeros(n)
     y = x_prev.copy()
     t = 1.0
     history = []
@@ -260,6 +262,16 @@ class _GammaState:
         eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
         if eig_min > 0:
             self.gamma = eig_min
+
+
+def _gamma_state(op, gamma):
+    """None: the fixed step 1/L; "auto": start at 1/L and re-estimate; a
+    positive number: that fixed step."""
+    if gamma is None or gamma == "auto":
+        return _GammaState(1.0 / estimate_lipschitz(op), auto=gamma == "auto")
+    if not gamma > 0:  # also rejects NaN
+        raise SolverError("gamma must be positive")
+    return _GammaState(gamma, auto=False)
 
 
 class _GramCache:
@@ -410,27 +422,19 @@ def _ssn_counters(history, cache):
             "gram_fetches": cache.fetches, "gram_columns": cache.size}
 
 
-def mrssn(op, h_sigma, w, beta0=None, gamma=None, tol=9e-7, config=None,
-          basis=None):
-    """Semi-smooth Newton iteration for the weighted-l1 fixed point problem."""
+def mrssn(op, h_sigma, w, gamma=None, tol=9e-7, config=None, basis=None):
+    """Semi-smooth Newton iteration for the weighted-l1 fixed point problem,
+    started from zero."""
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = op.shape[1]
-    w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
-    if np.any(w < 0):
-        raise SolverError("weights must be nonnegative")
-    beta = np.zeros(n) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    if gamma is None or gamma == "auto":
-        state = _GammaState(1.0 / estimate_lipschitz(op), auto=(gamma == "auto"))
-    else:
-        if gamma <= 0:
-            raise SolverError("gamma must be positive")
-        state = _GammaState(gamma, auto=False)
+    w = _weights(w, n)
+    state = _gamma_state(op, gamma)
     history = []
     cache = _GramCache(op)
     beta, iterations, r_inf = _mrssn_loop(
-        op, h, w, beta, state, tol, MAX_NEWTON, cfg.active_set_cap,
+        op, h, w, np.zeros(n), state, tol, MAX_NEWTON, cfg.active_set_cap,
         history, cache, op.matvec_transpose(h))
     return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
                    history=history, extras={
@@ -438,19 +442,16 @@ def mrssn(op, h_sigma, w, beta0=None, gamma=None, tol=9e-7, config=None,
                        **_ssn_counters(history, cache)})
 
 
-def ir_mrssn(op, h_sigma, w, config=None, basis=None, beta0=None):
-    """Continuation over a geometrically decreasing weight scale mu, ending
-    with a solve at mu = 1."""
+def ir_mrssn(op, h_sigma, w, config=None, basis=None):
+    """Continuation from zero over a geometrically decreasing weight scale
+    mu, ending with a solve at mu = 1."""
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = op.shape[1]
-    w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
-    beta = np.zeros(n) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    if cfg.gamma == "auto":
-        state = _GammaState(1.0 / estimate_lipschitz(op), auto=True)
-    else:
-        state = _GammaState(float(cfg.gamma), auto=False)
+    w = _weights(w, n)
+    beta = np.zeros(n)
+    state = _gamma_state(op, cfg.gamma)
     mu = cfg.mu0 ** cfg.outer_steps
     history = []
     total_iters = 0
@@ -504,14 +505,16 @@ SOLVERS = {
 }
 
 
-def solve_multi_kernel(block_op, h_sigma, w, config=None, bases=None,
+def solve_multi_kernel(ops, h_sigma, w, config=None, bases=None,
                        method="ir_mrssn"):
-    """Run a sparse solver on a stacked multi-kernel operator."""
+    """Run a sparse solver on the horizontal stack of the per-kernel
+    operators ``ops``; ``bases`` gives each block's back-transform."""
     if method not in ("ir_mrssn", "mrfista"):
         raise SolverError(f"unsupported multi-kernel method: {method}")
-    report = SOLVERS[method](block_op, h_sigma, w, config or SolverConfig(),
-                             None)
-    parts = block_op.split(report.beta)
+    ops = tuple(ops)
+    report = SOLVERS[method](CompressedOperator.hstack(ops), h_sigma, w,
+                             config or SolverConfig(), None)
+    parts = np.split(report.beta, np.cumsum([op.n_cols for op in ops])[:-1])
     if bases is not None:
         report.alpha = np.concatenate(
             [b.inverse(p) for b, p in zip(bases, parts)])

@@ -141,6 +141,16 @@ class TestMetrics:
         rec = metrics(rep, data, op=dense_op(np.eye(200)))
         assert rec["beta_nnz"] == 2
 
+    def test_operator_required(self):
+        # without the operator there is no fit to compare with the data
+        data = self._data()
+        rep = SolveReport(method="mrssn", beta=np.zeros(200),
+                          alpha=np.zeros(200), iterations=0,
+                          final_active_size=0, residual_inf=1.0,
+                          objective=0.0, wall_time=0.0)
+        with pytest.raises(TypeError):
+            metrics(rep, data)
+
 
 class TestGridEval:
     def test_unit_coefficient_is_translate(self, rng):

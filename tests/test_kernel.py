@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sampletbp import (BudgetError, Dictionary, KernelSpec, PointCloud,
-                       assemble_dense, evaluate)
+from sampletbp import (BudgetError, KernelSpec, PointCloud, assemble_dense,
+                       evaluate)
 from sampletbp.kernel import KernelError, cross_matrix, radial_profile
 
 
@@ -118,9 +118,3 @@ class TestSpecs:
     def test_bad_length(self):
         with pytest.raises(KernelError):
             KernelSpec("matern32", length=0.0)
-
-    def test_dictionary(self):
-        d = Dictionary(kernels=(RADIAL[0], RADIAL[1]))
-        assert len(d) == 2
-        with pytest.raises(KernelError):
-            Dictionary(kernels=())

@@ -1,14 +1,18 @@
+import os
 import struct
+import tempfile
 from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_op, random_spd
-from sampletbp import (BlockOperator, BudgetError, CompressedOperator,
-                       KernelSpec, PointCloud, assemble_dense,
-                       build_cluster_tree, build_samplet_basis, compress,
-                       estimate_lipschitz)
+from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
+                       PointCloud, assemble_dense, build_cluster_tree,
+                       build_samplet_basis, compress, estimate_lipschitz)
 from sampletbp.operator import OperatorError, transform_two_sided
 
 
@@ -179,26 +183,26 @@ class TestLipschitz:
             estimate_lipschitz(dense_op(np.zeros((3, 3))))
 
 
-class TestBlockOperator:
+class TestHstack:
     def test_single_block_identical(self, rng):
         A = rng.standard_normal((16, 16))
         op = dense_op(A)
-        blk = BlockOperator(blocks=(op,))
+        blk = CompressedOperator.hstack((op,))
         v = rng.standard_normal(16)
         assert np.array_equal(blk.matvec(v), op.matvec(v))
         assert np.array_equal(blk.matvec_transpose(v), op.matvec_transpose(v))
 
     def test_zero_second_block(self, rng):
         A = rng.standard_normal((8, 8))
-        blk = BlockOperator(blocks=(dense_op(A),
-                                    CompressedOperator.from_dense(
-                                        np.zeros((8, 8)), 0.0)))
+        blk = CompressedOperator.hstack((dense_op(A),
+                                         CompressedOperator.from_dense(
+                                             np.zeros((8, 8)), 0.0)))
         v = rng.standard_normal(16)
         assert np.abs(blk.matvec(v) - A @ v[:8]).max() <= 1e-14
 
     def test_matches_concatenated_dense(self, rng):
         A, B = rng.standard_normal((2, 64, 64))
-        blk = BlockOperator(blocks=(dense_op(A), dense_op(B)))
+        blk = CompressedOperator.hstack((dense_op(A), dense_op(B)))
         C = np.hstack([A, B])
         v = rng.standard_normal(128)
         u = rng.standard_normal(64)
@@ -212,9 +216,25 @@ class TestBlockOperator:
             assert np.abs(blk.gram_submatrix(idx, idx) - ref).max() <= 1e-12
         assert blk.cols_matrix([]).shape == (64, 0)
 
+    def test_empty_rejected(self):
+        with pytest.raises(OperatorError):
+            CompressedOperator.hstack(())
+
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(OperatorError):
-            BlockOperator(blocks=(dense_op(np.eye(3)), dense_op(np.eye(4))))
+            CompressedOperator.hstack((dense_op(np.eye(3)),
+                                       dense_op(np.eye(4))))
+
+    def test_bookkeeping_is_the_blocks_maximum(self, rng):
+        # the first block has the larger error, the second the larger tau
+        A, B = rng.standard_normal((2, 12, 12))
+        ops = (CompressedOperator.from_dense(0.1 * A, tau=0.2),
+               CompressedOperator.from_dense(B, tau=0.5))
+        assert ops[0].est_rel_frobenius_error > ops[1].est_rel_frobenius_error
+        blk = CompressedOperator.hstack(ops)
+        assert blk.threshold == max(op.threshold for op in ops)
+        assert blk.est_rel_frobenius_error == \
+            max(op.est_rel_frobenius_error for op in ops)
 
 
 class TestSerialization:
@@ -225,6 +245,33 @@ class TestSerialization:
         op.save(path)
         back = CompressedOperator.load(path)
         assert np.array_equal(back.to_dense(), op.to_dense())
+        assert back.threshold == op.threshold
+        assert back.est_rel_frobenius_error == op.est_rel_frobenius_error
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.integers(1, 20), blocks=st.lists(
+        st.tuples(st.integers(1, 20), st.floats(0.0, 1.0),
+                  st.floats(0.0, 2.0), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=3))
+    def test_save_load_round_trip_property(self, n_rows, blocks):
+        # n_rows x n_cols blocks of random density and tau; more than one
+        # block gives a non-square stack
+        ops = []
+        for n_cols, density, tau, seed in blocks:
+            rng = np.random.default_rng(seed)
+            A = scipy.sparse.random(n_rows, n_cols, density=density,
+                                    random_state=rng,
+                                    data_rvs=rng.standard_normal)
+            ops.append(CompressedOperator.from_dense(A.toarray(), tau=tau))
+        op = ops[0] if len(ops) == 1 else CompressedOperator.hstack(ops)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "op.smpk")
+            op.save(path)
+            back = CompressedOperator.load(path)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(back.matrix, name),
+                                  getattr(op.matrix, name))
+        assert back.shape == op.shape
         assert back.threshold == op.threshold
         assert back.est_rel_frobenius_error == op.est_rel_frobenius_error
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (cd_lasso, dense_op, kkt_violation, lasso_objective,
                       random_spd)
-from sampletbp import (BlockOperator, CompressedOperator, KernelSpec,
-                       PointCloud, SolverConfig, build_cluster_tree,
-                       build_samplet_basis, compress, fista, ir_mrssn, mrssn,
-                       ridge_cg, soft_shrinkage, solve_multi_kernel)
+from sampletbp import (CompressedOperator, KernelSpec, PointCloud,
+                       SolverConfig, build_cluster_tree, build_samplet_basis,
+                       compress, fista, ir_mrssn, mrssn, ridge_cg,
+                       soft_shrinkage, solve_multi_kernel)
 from sampletbp.solver import SolverError, _cd_burst, _GramCache
 
 
@@ -245,6 +245,16 @@ class TestIrMrssn:
                       mode="mr")
         assert abs(rep_ir.objective - rep_f.objective) <= 1e-6
 
+    @pytest.mark.parametrize("w, gamma", [
+        (0.1, 0.0), (0.1, -1.0), (-0.1, "auto"),
+    ], ids=["gamma-zero", "gamma-negative", "negative-weight"])
+    def test_bad_weight_or_gamma_rejected(self, w, gamma):
+        # gamma = 0 makes the fixed-point residual vanish identically, so
+        # the solve would stop at once and report beta = 0 as converged
+        A, h, _ = easy_lasso(3)
+        with pytest.raises(SolverError, match="must be"):
+            ir_mrssn(dense_op(A), h, w, config=SolverConfig(gamma=gamma))
+
     def test_error_context(self, rng):
         A = random_spd(30, rng, ridge=1.0)
         h = rng.standard_normal(30)
@@ -277,8 +287,7 @@ class TestGradient:
 class TestMultiKernel:
     def test_single_block_path(self):
         A, h, w = easy_lasso(23)
-        blk = BlockOperator(blocks=(dense_op(A),))
-        rep = solve_multi_kernel(blk, h, w, config=SolverConfig(tol=1e-10),
+        rep = solve_multi_kernel((dense_op(A),), h, w, config=SolverConfig(tol=1e-10),
                                  method="mrfista")
         ref = fista(dense_op(A), h, w, config=SolverConfig(tol=1e-10),
                     mode="mr")
@@ -287,8 +296,8 @@ class TestMultiKernel:
     def test_identical_blocks_objective(self):
         A, h, w = easy_lasso(31)
         n = len(h)
-        blk = BlockOperator(blocks=(dense_op(A), dense_op(A)))
-        rep = solve_multi_kernel(blk, h, np.concatenate([w, w]),
+        rep = solve_multi_kernel((dense_op(A), dense_op(A)), h,
+                                 np.concatenate([w, w]),
                                  config=SolverConfig(tol=1e-10),
                                  method="mrfista")
         single = fista(dense_op(A), h, w, config=SolverConfig(tol=1e-10),
@@ -297,11 +306,10 @@ class TestMultiKernel:
 
     def test_zero_block_gets_no_support(self, rng):
         n = 16
-        blk = BlockOperator(blocks=(
-            dense_op(np.eye(n)),
-            CompressedOperator.from_dense(np.zeros((n, n)), 0.0)))
+        ops = (dense_op(np.eye(n)),
+               CompressedOperator.from_dense(np.zeros((n, n)), 0.0))
         h = rng.standard_normal(n)
-        rep = solve_multi_kernel(blk, h, 0.05, config=SolverConfig(tol=1e-10),
+        rep = solve_multi_kernel(ops, h, 0.05, config=SolverConfig(tol=1e-10),
                                  method="ir_mrssn")
         nnz1, nnz2 = rep.extras["block_nnz"]
         assert nnz1 > 0 and nnz2 == 0
@@ -345,9 +353,9 @@ def _sparse_op(seed, n_rows, n_cols):
 
 GRAM_OPS = {
     "compressed": _sparse_op(1, 30, 30),
-    "block": BlockOperator(blocks=(_sparse_op(2, 30, 17),
-                                   _sparse_op(3, 30, 13),
-                                   _sparse_op(4, 30, 10))),
+    "block": CompressedOperator.hstack((_sparse_op(2, 30, 17),
+                                        _sparse_op(3, 30, 13),
+                                        _sparse_op(4, 30, 10))),
 }
 
 
