@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,10 @@ def _read_numeric_csv(path):
     except ValueError:
         skip = 1  # non-numeric header line
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without data rows is rejected below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise GeometryError(f"malformed CSV {path}: {exc}") from exc
     if data.size == 0:

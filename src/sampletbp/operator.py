@@ -11,6 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+from .geometry import BudgetError
 from .kernel import assemble_dense
 from .samplet import SampletBasis
 
@@ -209,9 +210,28 @@ def transform_two_sided(basis: SampletBasis, K):
     return C.T
 
 
+# peak bytes per kernel entry of the dense path: about six N x N float64
+# arrays are alive at once (assembly, the two transform passes, threshold)
+DENSE_BYTES_PER_ENTRY = 6 * 8
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     """Samplet-compressed kernel operator K^Sigma_eps at desk scale: dense
-    assembly, exact two-sided transform, a-posteriori thresholding."""
+    assembly, exact two-sided transform, a-posteriori thresholding.
+
+    Raises ``BudgetError`` before allocating when the dense path's peak
+    memory estimate exceeds the machine's physical memory."""
+    need = DENSE_BYTES_PER_ENTRY * cloud.n ** 2
+    have = physical_memory()
+    if need > have:
+        raise BudgetError(
+            f"dense compression at N = {cloud.n} needs about "
+            f"{need / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB")
     # .T gives back the contiguous buffer; K is symmetric, so it holds
     # T K T^T up to rounding
     C = transform_two_sided(basis, assemble_dense(spec, cloud, cap=cap)).T

@@ -21,6 +21,7 @@ class SolverError(RuntimeError):
 MAX_NEWTON = 100  # Newton iterations of a plain solve and of the final stage
 STAGE_NEWTON = 10  # Newton iterations of each earlier continuation stage
 CD_SWEEPS = 50  # coordinate-descent sweeps per rejected Newton step
+DAMP_STEPS = 8  # Newton step lengths 1, 1/2, ..., 2**-7 tried before CD
 
 
 @dataclass
@@ -250,15 +251,21 @@ def fista(op, h_sigma, w, config=None, basis=None, mode="mr"):
 
 class _GammaState:
     """Re-estimates gamma as the smallest eigenvalue of the active-set Gram
-    matrix whenever the active set is nonempty (auto mode only)."""
+    matrix whenever the active set is nonempty and differs from the one of
+    the last estimate (auto mode only)."""
 
     def __init__(self, gamma, auto):
         self.gamma = float(gamma)
         self.auto = auto
+        self._key = None  # active set of the last estimate
 
-    def maybe_update(self, M_aa):
+    def maybe_update(self, active, M_aa):
         if not self.auto or M_aa.size == 0:
             return
+        key = active.tobytes()
+        if key == self._key:
+            return  # same M_aa, same eigenvalue: gamma already reflects it
+        self._key = key
         eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
         if eig_min > 0:
             self.gamma = eig_min
@@ -294,14 +301,15 @@ class _GramCache:
     def size(self):
         return self.cols.size
 
-    def block(self, idx):
-        """Dense Gram block M[idx, idx]."""
-        idx = np.asarray(idx, dtype=np.int64)
+    def block(self, rows, cols=None):
+        """Dense Gram block M[rows, cols]; ``cols`` defaults to ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = rows if cols is None else np.asarray(cols, dtype=np.int64)
+        idx = np.concatenate([rows, cols])
         new = np.unique(idx[self.slot[idx] < 0])
         if new.size:
             self._add(new)
-        pos = self.slot[idx]
-        return self.M[np.ix_(pos, pos)]
+        return self.M[np.ix_(self.slot[rows], self.slot[cols])]
 
     def _add(self, new):
         lo, hi = self.size, self.size + new.size
@@ -348,77 +356,101 @@ def _cd_burst(kth, beta, w, active, M_aa, sweeps):
     return out
 
 
-def _mrssn_loop(op, h, w, beta, state, tol, max_newton, active_set_cap,
-                history, cache, kth):
+def _damped_step(res, Kd, beta, d, w, f0):
+    """The longest step t = 1, 1/2, ..., 2**(1 - DAMP_STEPS) along d whose
+    objective 0.5 ||res - t Kd||^2 + w . |beta + t d| does not exceed f0,
+    or 0.0 if there is none; ``res`` is h - K beta and ``Kd`` is K d."""
+    t = 1.0
+    for _ in range(DAMP_STEPS):
+        rt = res - t * Kd
+        if 0.5 * float(rt @ rt) + float(np.abs(beta + t * d) @ w) <= f0:
+            return t
+        t *= 0.5
+    return 0.0
+
+
+def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
+                active_set_cap, history, cache, kth):
+    """Newton iterations from beta, whose data residual res = h - K beta and
+    gradient g = K^T res come in and go out with it; ``kth`` is K^T h."""
     n = op.shape[1]
     iterations = 0
     r_inf = np.inf
     for _ in range(max_newton):
-        res = h - op.matvec(beta)
-        g = op.matvec_transpose(res)
         gamma = state.gamma
         u = beta + gamma * g
         r = beta - soft_shrinkage(u, gamma * w)
         r_inf = float(np.abs(r).max()) if n else 0.0
         if r_inf < tol:
             break
-        active = np.nonzero(np.abs(u) > gamma * w)[0]
+        is_active = np.abs(u) > gamma * w
+        active = np.nonzero(is_active)[0]
         if active.size > active_set_cap:
             raise SolverError(
                 f"active set of size {active.size} exceeds the cap "
                 f"{active_set_cap}; the dense Newton system is infeasible")
         M_aa = cache.block(active)
-        state.maybe_update(M_aa)
+        state.maybe_update(active, M_aa)
         if state.gamma != gamma:
             # the active set and residual are tied to gamma; redo both
             gamma = state.gamma
             u = beta + gamma * g
             r = beta - soft_shrinkage(u, gamma * w)
-            active = np.nonzero(np.abs(u) > gamma * w)[0]
+            is_active = np.abs(u) > gamma * w
+            active = np.nonzero(is_active)[0]
             M_aa = cache.block(active)
         if active.size == 0:
             # no coordinate may move; the fixed point is beta = 0
-            beta = np.zeros(n)
+            beta, res, g = np.zeros(n), h, kth
             iterations += 1
             history.append({"iter": iterations, "residual_inf": r_inf,
                             "active": 0})
             continue
-        r_inactive = r.copy()
-        r_inactive[active] = 0.0
-        m_ai_r = op.matvec_transpose(op.matvec(r_inactive))[active]
-        rhs = gamma * m_ai_r - r[active]
+        # r equals beta off the active set, so M_AI r_I = M[A, S] beta[S]
+        # over S = supp(beta) \ A, whose columns the cache already holds
+        off = np.nonzero(~is_active & (beta != 0.0))[0]
+        rhs = gamma * (cache.block(active, off) @ beta[off]) - r[active]
         f0 = 0.5 * float(res @ res) + float(np.abs(beta) @ w)
-        accepted = False
+        t = 0.0
         try:
             cho = scipy.linalg.cho_factor(gamma * M_aa)
-            delta = scipy.linalg.cho_solve(cho, rhs)
-            beta_new = np.zeros(n)
-            beta_new[active] = beta[active] + delta
-            accepted = _objective(op, h, beta_new, w) <= f0
+            # d is the full Newton step: beta + d is zero off the active set
+            d = -beta
+            d[active] = scipy.linalg.cho_solve(cho, rhs)
+            Kd = op.matvec(d)
+            t = _damped_step(res, Kd, beta, d, w, f0)
         except np.linalg.LinAlgError:
             pass
-        if not accepted:
-            # near-singular system or an uphill step: fall back to descent
-            # sweeps on the active block, which never increase the objective.
-            # the sweep block is widened to cover the current support so the
-            # fallback cannot zero a live coordinate and lose monotonicity
+        if t > 0.0:
+            beta = beta + t * d
+            res = res - t * Kd
+        else:
+            # near-singular system or no descent along the Newton direction:
+            # fall back to descent sweeps on the active block, which never
+            # increase the objective.  the sweep block is widened to cover
+            # the current support so the fallback cannot zero a live
+            # coordinate and lose monotonicity
             cd_active = np.union1d(active, np.nonzero(beta)[0])
-            beta_new = _cd_burst(kth, beta, w, cd_active,
-                                 cache.block(cd_active), CD_SWEEPS)
-        beta = beta_new
+            beta = _cd_burst(kth, beta, w, cd_active,
+                             cache.block(cd_active), CD_SWEEPS)
+            res = h - op.matvec(beta)
+        g = op.matvec_transpose(res)
         iterations += 1
         history.append({"iter": iterations, "residual_inf": r_inf,
                         "active": int(active.size),
-                        "newton_step": bool(accepted)})
-    return beta, iterations, r_inf
+                        "newton_step": bool(t > 0.0), "step_length": t})
+    return beta, res, g, iterations, r_inf
 
 
 def _ssn_counters(history, cache):
-    """Newton steps taken and rejected (coordinate-descent fallbacks), and
-    the Gram cache's fetches and columns."""
-    steps = [e["newton_step"] for e in history if "newton_step" in e]
-    return {"newton_accepted": sum(steps),
-            "newton_rejected": len(steps) - sum(steps),
+    """Newton steps taken, those of them damped (step length below 1) and
+    rejected (coordinate-descent fallbacks), and the Gram cache's fetches
+    and columns."""
+    steps = [e["step_length"] for e in history if "step_length" in e]
+    taken = sum(t > 0.0 for t in steps)
+    return {"newton_accepted": taken,
+            "newton_damped": sum(0.0 < t < 1.0 for t in steps),
+            "newton_rejected": len(steps) - taken,
             "gram_fetches": cache.fetches, "gram_columns": cache.size}
 
 
@@ -433,9 +465,10 @@ def mrssn(op, h_sigma, w, gamma=None, tol=9e-7, config=None, basis=None):
     state = _gamma_state(op, gamma)
     history = []
     cache = _GramCache(op)
-    beta, iterations, r_inf = _mrssn_loop(
-        op, h, w, np.zeros(n), state, tol, MAX_NEWTON, cfg.active_set_cap,
-        history, cache, op.matvec_transpose(h))
+    kth = op.matvec_transpose(h)
+    beta, _, _, iterations, r_inf = _mrssn_loop(
+        op, h, w, np.zeros(n), h, kth, state, tol, MAX_NEWTON,
+        cfg.active_set_cap, history, cache, kth)
     return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
                    history=history, extras={
                        "gamma": state.gamma, "converged": bool(r_inf < tol),
@@ -457,9 +490,11 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None):
     total_iters = 0
     outer = 0
     r_inf = np.inf
-    # M = K^T K and K^T h do not depend on mu: one copy serves every stage
+    # M = K^T K, K^T h and the residual of beta do not depend on mu: one
+    # copy serves every stage
     cache = _GramCache(op)
     kth = op.matvec_transpose(h)
+    res, g = h, kth
     inner_all = []
     while True:
         inner_hist = []
@@ -467,8 +502,8 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None):
         # Newton budget is reserved for the final stage at mu = 1
         cap = MAX_NEWTON if mu <= 1.0 else STAGE_NEWTON
         try:
-            beta, iters, r_inf = _mrssn_loop(
-                op, h, mu * w, beta, state, cfg.tol, cap,
+            beta, res, g, iters, r_inf = _mrssn_loop(
+                op, h, mu * w, beta, res, g, state, cfg.tol, cap,
                 cfg.active_set_cap, inner_hist, cache, kth)
         except SolverError as exc:
             raise SolverError(f"outer step {outer} (mu={mu:.6g}): {exc}") from exc

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
                            ingest_labeled_csv, kernels_from_config,
@@ -174,6 +176,16 @@ class TestBench:
     def test_unknown_flag_exit_code(self, capsys):
         assert run(["bench", "--case", "spss", "--frobnicate"]) == EXIT_USAGE
 
+    def test_memory_budget_exit_code(self, tmp_path, monkeypatch):
+        # a machine too small for the dense path: exit 4 before assembly
+        monkeypatch.setattr("sampletbp.operator.physical_memory",
+                            lambda: 2**20)
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "400", "--report",
+                  str(report), "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BUDGET
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_fit_and_bench_run_the_named_solver(tmp_path, rng, solver):
@@ -233,6 +245,69 @@ class TestIngest:
         from sampletbp.geometry import GeometryError
         with pytest.raises(GeometryError):
             ingest_labeled_csv(path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DEFECTS = ("empty", "ragged", "token", "non_finite_coordinate",
+            "non_finite_value", "overflow", "single_column")
+
+
+@st.composite
+def _tables(draw, min_rows=1):
+    """A well-formed labeled table: 1-40 rows of 2-4 finite numbers."""
+    n_cols = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(_FINITE, min_size=n_cols, max_size=n_cols),
+                         min_size=min_rows, max_size=40))
+    return [[repr(x) for x in row] for row in rows]
+
+
+@st.composite
+def _defective_tables(draw):
+    """A table with exactly one defect that makes it malformed input."""
+    defect = draw(st.sampled_from(_DEFECTS))
+    # a ragged or non-numeric row needs a row before it: a first row that is
+    # not numeric is read as a header
+    rows = draw(_tables(min_rows=2))
+    n_cols = len(rows[0])
+    i = draw(st.integers(0, len(rows) - 1))
+    if defect == "empty":
+        rows = []
+    elif defect == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    elif defect == "token":
+        j = draw(st.integers(0, n_cols - 1))
+        rows[max(i, 1)][j] = draw(st.sampled_from(
+            ["abc", "1.2.3", "", "1e", "--1", "0x1f"]))
+    elif defect == "non_finite_coordinate":
+        j = draw(st.integers(0, n_cols - 2))
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif defect == "non_finite_value":
+        rows[i][-1] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif defect == "overflow":
+        rows[i][draw(st.integers(0, n_cols - 1))] = "1e400"
+    else:  # single_column
+        rows = [row[:1] for row in rows]
+    return rows
+
+
+def _write_table(directory, rows):
+    path = directory / "table.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+class TestIngestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_tables())
+    def test_well_formed_table_is_accepted(self, tmp_path_factory, rows):
+        path = _write_table(tmp_path_factory.mktemp("csv"), rows)
+        assert run(["info", path, "--labeled"]) == EXIT_OK
+
+    @settings(max_examples=120, deadline=None)
+    @given(rows=_defective_tables())
+    def test_one_defect_is_malformed_input(self, tmp_path_factory, rows):
+        path = _write_table(tmp_path_factory.mktemp("csv"), rows)
+        assert run(["info", path, "--labeled"]) == EXIT_BAD_INPUT
 
 
 class TestConfig:

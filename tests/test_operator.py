@@ -13,7 +13,8 @@ from conftest import dense_op, random_spd
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        PointCloud, assemble_dense, build_cluster_tree,
                        build_samplet_basis, compress, estimate_lipschitz)
-from sampletbp.operator import OperatorError, transform_two_sided
+from sampletbp.operator import (DENSE_BYTES_PER_ENTRY, OperatorError,
+                                transform_two_sided)
 
 
 MATERN = KernelSpec("matern32", length=0.25)
@@ -94,6 +95,20 @@ class TestCompress:
         cloud, basis = make_setup(rng, 32)
         with pytest.raises(BudgetError):
             compress(basis, MATERN, cloud, tau=1e-4, cap=16)
+
+    def test_memory_budget(self, rng, monkeypatch):
+        # the estimate is checked before the dense matrix is assembled
+        cloud, basis = make_setup(rng, 32)
+        need = DENSE_BYTES_PER_ENTRY * 32 ** 2
+        memory = "sampletbp.operator.physical_memory"
+        monkeypatch.setattr(memory, lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr("sampletbp.operator.assemble_dense",
+                      lambda *args, **kw: pytest.fail("assembled"))
+            with pytest.raises(BudgetError, match="physical memory"):
+                compress(basis, MATERN, cloud, tau=1e-4)
+        monkeypatch.setattr(memory, lambda: need)
+        assert compress(basis, MATERN, cloud, tau=1e-4).shape == (32, 32)
 
 
 class TestMatvec:

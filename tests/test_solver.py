@@ -176,6 +176,24 @@ class TestMrssn:
             mrssn(dense_op(A), h, 0.0, gamma=1.0,
                   config=SolverConfig(active_set_cap=5))
 
+    def test_damped_steps_match_cd_oracle(self):
+        # ill-conditioned instances: the full Newton step often goes uphill,
+        # so the solve must take shortened steps and still reach the optimum
+        damped = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 41))
+            A = random_spd(n, rng, ridge=1e-3)
+            h = rng.standard_normal(n)
+            w = np.full(n, 0.05 * np.abs(A.T @ h).max())
+            rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-10)
+            b = cd_lasso(A, h, w)
+            assert abs(rep.objective - lasso_objective(A, h, b, w)) <= 1e-8
+            assert kkt_violation(A, h, rep.beta, w) <= 1e-8
+            assert rep.extras["newton_damped"] <= rep.extras["newton_accepted"]
+            damped += rep.extras["newton_damped"]
+        assert damped > 0
+
     def test_fixed_point_for_scaled_gammas(self):
         A, h, w = easy_lasso(5)
         op = dense_op(A)
@@ -360,12 +378,22 @@ GRAM_OPS = {
 
 
 class _CountingOp:
-    """Operator proxy that records every Gram block request."""
+    """Operator proxy that records every Gram block request and counts the
+    sparse products."""
 
     def __init__(self, op):
         self._op = op
         self.calls = 0
         self.fetched = []
+        self.products = 0
+
+    def matvec(self, v):
+        self.products += 1
+        return self._op.matvec(v)
+
+    def matvec_transpose(self, v):
+        self.products += 1
+        return self._op.matvec_transpose(v)
 
     def gram_submatrix(self, rows_idx, cols_idx):
         self.calls += 1
@@ -446,6 +474,9 @@ class TestGramCache:
         assert 0 < proxy.calls <= rep.iterations
         steps = rep.extras["newton_accepted"] + rep.extras["newton_rejected"]
         assert 0 < steps <= rep.iterations
+        # an accepted Newton step costs K d and K^T res; only the
+        # coordinate-descent fallback recomputes the residual
+        assert proxy.products <= 3 * rep.iterations
 
     def test_mrssn_counters_match_history(self):
         A, h, w = easy_lasso(7)
@@ -453,4 +484,7 @@ class TestGramCache:
         flags = [e["newton_step"] for e in rep.history if "newton_step" in e]
         assert rep.extras["newton_accepted"] == sum(flags)
         assert rep.extras["newton_rejected"] == len(flags) - sum(flags)
+        assert rep.extras["newton_damped"] == sum(
+            0.0 < e["step_length"] < 1.0 for e in rep.history
+            if "step_length" in e)
         assert rep.extras["gram_columns"] <= len(h)
