@@ -14,7 +14,7 @@ from .geometry import (BudgetError, ClusterTree, PointCloud, bounding_box,
 from .kernel import KernelSpec, assemble_dense, evaluate
 from .operator import CompressedOperator, compress, estimate_lipschitz
 from .samplet import (SampletBasis, build_samplet_basis,
-                      coefficient_l1_profile, verify_dual_basis)
+                      coefficient_l1_profile)
 from .solver import (SolveReport, SolverConfig, fista, ir_mrssn, mrssn,
                      ridge_cg, soft_shrinkage, solve_multi_kernel)
 
@@ -25,5 +25,5 @@ __all__ = [
     "build_samplet_basis",
     "coefficient_l1_profile", "compress", "estimate_lipschitz", "evaluate",
     "fista", "generate", "grid_eval", "ir_mrssn", "metrics", "mrssn",
-    "ridge_cg", "soft_shrinkage", "solve_multi_kernel", "verify_dual_basis",
+    "ridge_cg", "soft_shrinkage", "solve_multi_kernel",
 ]

@@ -19,6 +19,7 @@ GENERATORS = ("spss", "spms", "cartoon")
 # a ridge coefficient below this share of the largest one does not count
 # towards beta_nnz
 RIDGE_DROP_REL = 1e-4
+GRID_CHUNK = 2048  # grid points evaluated per kernel block in grid_eval
 
 
 @dataclass
@@ -160,8 +161,7 @@ def metrics(report, data: BenchData, op):
     return rec
 
 
-def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7,
-              chunk=2048):
+def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7):
     """Direct-summation evaluation of a (multi-kernel) interpolant on a grid.
 
     alphas and kernels are parallel lists; pass single-element lists for one
@@ -174,8 +174,8 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7,
     out = np.zeros(m)
     for alpha, spec in zip(alphas, kernels):
         alpha = np.asarray(alpha, dtype=float)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
+        for lo in range(0, m, GRID_CHUNK):
+            hi = min(lo + GRID_CHUNK, m)
             out[lo:hi] += cross_matrix(spec, grid_points[lo:hi],
                                        cloud.points) @ alpha
     return out

@@ -28,12 +28,14 @@ _EPILOG = """\
 exit codes: 0 success, 2 usage error, 3 malformed input file,
 4 size/budget exceeded, 5 solver failure.
 
-config files are plain text `key=value` lines (# comments allowed);
-command-line flags override file values.  kernels are declared as
+config files are plain text `key=value` lines (# comments allowed) that
+declare kernels only, with consecutive indices for dictionaries of several
+kernels:
   kernel.0.family=matern32
   kernel.0.length=0.25
   kernel.0.dim_scaling=true
-with consecutive indices for dictionaries of several kernels.
+the other fields are periodic_scale and frequency; any other key is an
+error.  --kernel and --length override the first kernel.
 """
 
 
@@ -59,28 +61,37 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s}")
 
 
+# config field -> parser of its value
+_KERNEL_FIELDS = {"family": str, "length": float, "dim_scaling": _bool,
+                  "periodic_scale": float, "frequency": float}
+
+
 def kernels_from_config(cfg, default_length=0.25):
-    """Build the ordered kernel list from `kernel.<i>.<field>` entries."""
+    """Build the ordered kernel list from `kernel.<i>.<field>` entries with
+    consecutive indices i from 0; every other key is rejected."""
     specs = []
-    i = 0
-    while f"kernel.{i}.family" in cfg:
-        prefix = f"kernel.{i}."
-        kwargs = {"family": cfg[prefix + "family"]}
-        if prefix + "length" in cfg:
-            kwargs["length"] = float(cfg[prefix + "length"])
-        if prefix + "dim_scaling" in cfg:
-            kwargs["dim_scaling"] = _bool(cfg[prefix + "dim_scaling"])
-        if prefix + "periodic_scale" in cfg:
-            kwargs["periodic_scale"] = float(cfg[prefix + "periodic_scale"])
-        if prefix + "frequency" in cfg:
-            kwargs["frequency"] = float(cfg[prefix + "frequency"])
-        if prefix + "literal_prefactor" in cfg:
-            kwargs["literal_prefactor"] = _bool(cfg[prefix + "literal_prefactor"])
+    used = set()
+    while f"kernel.{len(specs)}.family" in cfg:
+        prefix = f"kernel.{len(specs)}."
+        kwargs = {}
+        for name, parse in _KERNEL_FIELDS.items():
+            if prefix + name in cfg:
+                kwargs[name] = parse(cfg[prefix + name])
+                used.add(prefix + name)
         specs.append(KernelSpec(**kwargs))
-        i += 1
+    unknown = sorted(set(cfg) - used)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)} (a "
+                         "config file declares kernel.<i>.<field> only)")
     if not specs:
         specs = [KernelSpec("matern32", length=default_length)]
     return specs
+
+
+def _require_finite(values, what):
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise GeometryError(f"{what} has {bad} non-finite values")
 
 
 def ingest_labeled_csv(path, rescale=False):
@@ -89,9 +100,7 @@ def ingest_labeled_csv(path, rescale=False):
         cloud, values = PointCloud.from_csv(path, has_values=True)
     except (OSError, ValueError, GeometryError) as exc:
         raise GeometryError(f"cannot read labeled CSV {path}: {exc}") from exc
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise GeometryError(f"labeled CSV has {bad} non-finite values")
+    _require_finite(values, "labeled CSV")
     if rescale:
         box = cloud.domain_box
         width = np.where(box[1] > box[0], box[1] - box[0], 1.0)
@@ -165,6 +174,7 @@ def cmd_transform(args):
     vec = np.loadtxt(args.input, delimiter=",", ndmin=1)
     if vec.ndim != 1 or vec.shape[0] != cloud.n:
         raise GeometryError("vector length does not match the point count")
+    _require_finite(vec, "input vector")
     out = basis.inverse(vec) if args.inverse else basis.forward(vec)
     np.savetxt(args.output, out, fmt="%.17g")
     return EXIT_OK
@@ -199,6 +209,7 @@ def cmd_eval(args):
     alpha = table[:, 2]
     if alpha.shape[0] != cloud.n * len(specs):
         raise GeometryError("coefficient count does not match N * L")
+    _require_finite(alpha, "coefficient file")
     shape = tuple(int(s) for s in args.grid.split("x"))
     if len(shape) != cloud.dim:
         raise GeometryError("grid shape rank must equal the dimension")

@@ -25,9 +25,7 @@ class KernelSpec:
     With dim_scaling the radial argument is r / (length * sqrt(d)); without
     it the argument is r / length, which lets formulas with baked-in
     constants be expressed directly.  For the periodic family the kernel is
-    exp(-periodic_scale * sin^2(pi * frequency * r)).  literal_prefactor
-    reproduces the constant-prefactor Matern variant (1 + sqrt(3)/l) e^{-...}
-    verbatim; it breaks the unit diagonal and exists only for comparison.
+    exp(-periodic_scale * sin^2(pi * frequency * r)).
     """
 
     family: str
@@ -35,7 +33,6 @@ class KernelSpec:
     dim_scaling: bool = True
     periodic_scale: float = 50.0
     frequency: float = 1.0
-    literal_prefactor: bool = False
     components: tuple = ()  # tensor: ((KernelSpec, coordinate indices), ...)
 
     def __post_init__(self):
@@ -54,8 +51,6 @@ def radial_profile(spec: KernelSpec, r, dim):
     t = r / scale
     if spec.family == "matern32":
         s = sqrt(3.0) * t
-        if spec.literal_prefactor:
-            return (1.0 + sqrt(3.0) / scale) * np.exp(-s)
         return (1.0 + s) * np.exp(-s)
     if spec.family == "exponential":
         return np.exp(-t)

@@ -8,7 +8,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .geometry import BudgetError
@@ -22,6 +21,7 @@ class OperatorError(ValueError):
 
 _MAGIC = b"SMPK1"
 _HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
+THRESHOLD_CHUNK = 512  # rows of the dense matrix thresholded at a time
 
 
 @dataclass
@@ -134,13 +134,10 @@ class CompressedOperator:
         return CompressedOperator(matrix=mat, threshold=tau,
                                   est_rel_frobenius_error=est)
 
-    def export_matrix_market(self, path):
-        scipy.io.mmwrite(path, self.matrix)
-
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_dense(C, tau, chunk=512):
+    def from_dense(C, tau):
         """Threshold a dense matrix; diagonal entries are always kept."""
         C = np.asarray(C, dtype=float)
         if not np.all(np.isfinite(C)):
@@ -150,8 +147,8 @@ class CompressedOperator:
         dropped_sq = 0.0
         parts = []
         indptr = [0]
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
+        for lo in range(0, n, THRESHOLD_CHUNK):
+            hi = min(lo + THRESHOLD_CHUNK, n)
             block = C[lo:hi]
             total_sq += float(np.einsum("ij,ij->", block, block))
             mask = np.abs(block) >= tau
@@ -242,10 +239,18 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     return CompressedOperator.from_dense(C, tau)
 
 
-def estimate_lipschitz(op, tol=1e-4, max_iter=100, safety=1.01, seed=20240501):
+# power iteration of estimate_lipschitz: relative stopping tolerance,
+# iteration cap, safety factor on the result and seed of the start vector
+LIPSCHITZ_TOL = 1e-4
+LIPSCHITZ_MAX_ITER = 100
+LIPSCHITZ_SAFETY = 1.01
+LIPSCHITZ_SEED = 20240501
+
+
+def estimate_lipschitz(op):
     """sigma_max(op)^2 by power iteration on op^T op, with a safety factor
     so that 1/estimate is a valid proximal-gradient step size."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
     n = op.shape[1]
     v = rng.standard_normal(n)
     nv = np.linalg.norm(v)
@@ -253,15 +258,15 @@ def estimate_lipschitz(op, tol=1e-4, max_iter=100, safety=1.01, seed=20240501):
         raise OperatorError("degenerate start vector")
     v /= nv
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(LIPSCHITZ_MAX_ITER):
         s = op.matvec_transpose(op.matvec(v))
         ns = np.linalg.norm(s)
         if ns == 0.0:
             raise OperatorError("zero operator in Lipschitz estimate")
         lam_new = float(v @ s)
         v = s / ns
-        if lam > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
+        if lam > 0 and abs(lam_new - lam) <= LIPSCHITZ_TOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new
-    return lam * safety
+    return lam * LIPSCHITZ_SAFETY

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .geometry import ClusterTree, PointCloud
@@ -293,27 +292,3 @@ def coefficient_l1_profile(basis: SampletBasis):
     logs = [np.log2(m) - (J - j) / 2.0 for j, m in maxima.items() if m > 0]
     fitted_c = float(2.0 ** np.mean(logs)) if logs else 0.0
     return {"max_l1": maxima, "fitted_c": fitted_c, "depth": J}
-
-
-def verify_dual_basis(basis: SampletBasis, K, tol=1e-8, cap=512):
-    """End-to-end biorthogonality check through the kernel matrix.
-
-    Solves for the dual coefficient vectors densely and verifies
-    T K (K^{-1} T^T) = I; algebraically this is T T^T, the full route
-    exercises the kernel factorization as a consistency check.
-    """
-    K = np.asarray(K, dtype=float)
-    n = basis.n
-    if n > cap:
-        raise SampletError(f"verify_dual_basis limited to N <= {cap}")
-    if K.shape != (n, n):
-        raise SampletError("kernel matrix shape mismatch")
-    try:
-        cho = scipy.linalg.cho_factor(K)
-    except np.linalg.LinAlgError as exc:
-        raise SampletError("kernel matrix is not SPD") from exc
-    Td = basis.to_dense()
-    W_dual = scipy.linalg.cho_solve(cho, Td.T)
-    D = Td @ (K @ W_dual)
-    deviation = float(np.abs(D - np.eye(n)).max())
-    return deviation <= tol, deviation

@@ -29,7 +29,6 @@ class SolverConfig:
     tol: float = 9e-7
     max_iter: int = 10000
     lam: float = 0.0  # ridge regularization as lambda / N
-    gamma: object = "auto"  # positive float or "auto"
     mu0: float = 1.05
     outer_steps: int = 250
     active_set_cap: int = 20000
@@ -39,6 +38,8 @@ class SolverConfig:
             raise SolverError("tol must be positive")
         if self.mu0 <= 1:
             raise SolverError("mu0 must exceed 1")
+        if self.outer_steps < 0:
+            raise SolverError("outer_steps must be nonnegative")
 
 
 @dataclass
@@ -250,17 +251,16 @@ def fista(op, h_sigma, w, config=None, basis=None, mode="mr"):
 # -- semi-smooth Newton -----------------------------------------------------
 
 class _GammaState:
-    """Re-estimates gamma as the smallest eigenvalue of the active-set Gram
-    matrix whenever the active set is nonempty and differs from the one of
-    the last estimate (auto mode only)."""
+    """Gamma starts at 1/L and is re-estimated as the smallest eigenvalue of
+    the active-set Gram matrix whenever the active set is nonempty and
+    differs from the one of the last estimate."""
 
-    def __init__(self, gamma, auto):
-        self.gamma = float(gamma)
-        self.auto = auto
+    def __init__(self, op):
+        self.gamma = 1.0 / estimate_lipschitz(op)
         self._key = None  # active set of the last estimate
 
     def maybe_update(self, active, M_aa):
-        if not self.auto or M_aa.size == 0:
+        if M_aa.size == 0:
             return
         key = active.tobytes()
         if key == self._key:
@@ -269,16 +269,6 @@ class _GammaState:
         eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
         if eig_min > 0:
             self.gamma = eig_min
-
-
-def _gamma_state(op, gamma):
-    """None: the fixed step 1/L; "auto": start at 1/L and re-estimate; a
-    positive number: that fixed step."""
-    if gamma is None or gamma == "auto":
-        return _GammaState(1.0 / estimate_lipschitz(op), auto=gamma == "auto")
-    if not gamma > 0:  # also rejects NaN
-        raise SolverError("gamma must be positive")
-    return _GammaState(gamma, auto=False)
 
 
 class _GramCache:
@@ -454,7 +444,7 @@ def _ssn_counters(history, cache):
             "gram_fetches": cache.fetches, "gram_columns": cache.size}
 
 
-def mrssn(op, h_sigma, w, gamma=None, tol=9e-7, config=None, basis=None):
+def mrssn(op, h_sigma, w, config=None, basis=None):
     """Semi-smooth Newton iteration for the weighted-l1 fixed point problem,
     started from zero."""
     cfg = config or SolverConfig()
@@ -462,16 +452,17 @@ def mrssn(op, h_sigma, w, gamma=None, tol=9e-7, config=None, basis=None):
     h = _finite_data(h_sigma)
     n = op.shape[1]
     w = _weights(w, n)
-    state = _gamma_state(op, gamma)
+    state = _GammaState(op)
     history = []
     cache = _GramCache(op)
     kth = op.matvec_transpose(h)
     beta, _, _, iterations, r_inf = _mrssn_loop(
-        op, h, w, np.zeros(n), h, kth, state, tol, MAX_NEWTON,
+        op, h, w, np.zeros(n), h, kth, state, cfg.tol, MAX_NEWTON,
         cfg.active_set_cap, history, cache, kth)
     return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
                    history=history, extras={
-                       "gamma": state.gamma, "converged": bool(r_inf < tol),
+                       "gamma": state.gamma,
+                       "converged": bool(r_inf < cfg.tol),
                        **_ssn_counters(history, cache)})
 
 
@@ -484,7 +475,7 @@ def ir_mrssn(op, h_sigma, w, config=None, basis=None):
     n = op.shape[1]
     w = _weights(w, n)
     beta = np.zeros(n)
-    state = _gamma_state(op, cfg.gamma)
+    state = _GammaState(op)
     mu = cfg.mu0 ** cfg.outer_steps
     history = []
     total_iters = 0
@@ -534,7 +525,7 @@ SOLVERS = {
     "mrfista": lambda op, h, w, cfg, basis: fista(
         op, h, w, config=cfg, basis=basis, mode="mr"),
     "mrssn": lambda op, h, w, cfg, basis: mrssn(
-        op, h, w, gamma=cfg.gamma, tol=cfg.tol, config=cfg, basis=basis),
+        op, h, w, config=cfg, basis=basis),
     "ir_mrssn": lambda op, h, w, cfg, basis: ir_mrssn(
         op, h, w, config=cfg, basis=basis),
 }

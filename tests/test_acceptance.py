@@ -175,7 +175,7 @@ class TestLassoOracle:
             f_ref = lasso_objective(A, h, ref, w)
             for solver in ("mrssn", "mrfista"):
                 if solver == "mrssn":
-                    rep = mrssn(op, h, w, tol=1e-12)
+                    rep = mrssn(op, h, w, config=SolverConfig(tol=1e-12))
                 else:
                     rep = fista(op, h, w,
                                 config=SolverConfig(tol=1e-10, max_iter=50000))

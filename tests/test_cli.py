@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
-                           ingest_labeled_csv, kernels_from_config,
+from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_SOLVER,
+                           EXIT_USAGE, ingest_labeled_csv, kernels_from_config,
                            parse_config_file, run)
 from sampletbp.solver import SOLVERS
 
@@ -62,6 +63,17 @@ class TestTransform:
         rc = run(["transform", "--points", str(cloud_csv), "--input",
                   str(vec), "--output", str(tmp_path / "o.csv")])
         assert rc == EXIT_BAD_INPUT
+
+    def test_non_finite_input_rejected(self, cloud_csv, tmp_path, rng):
+        v = rng.standard_normal(100)
+        v[42] = np.nan
+        vec = tmp_path / "v.csv"
+        np.savetxt(vec, v, fmt="%.17g")
+        out = tmp_path / "o.csv"
+        rc = run(["transform", "--points", str(cloud_csv), "--input",
+                  str(vec), "--output", str(out)])
+        assert rc == EXIT_BAD_INPUT
+        assert not out.exists()
 
 
 class TestFitEval:
@@ -147,6 +159,20 @@ class TestFitEval:
                   "--grid", "50x50", "--budget", "1000"])
         assert rc == EXIT_BUDGET
 
+    def test_eval_non_finite_coefficient_rejected(self, cloud_csv, tmp_path):
+        alpha = np.ones(100)
+        alpha[7] = np.nan
+        coeff = tmp_path / "c.csv"
+        with open(coeff, "w") as fh:
+            fh.write("index,beta,alpha\n")
+            for i, a in enumerate(alpha):
+                fh.write(f"{i},0,{a:.17g}\n")
+        field = tmp_path / "f.csv"
+        rc = run(["eval", "--points", str(cloud_csv), "--coefficients",
+                  str(coeff), "--output", str(field), "--grid", "5x5"])
+        assert rc == EXIT_BAD_INPUT
+        assert not field.exists()
+
 
 class TestBench:
     def test_cartoon_table_columns(self, tmp_path):
@@ -184,6 +210,17 @@ class TestBench:
         rc = run(["bench", "--case", "spss", "--n", "400", "--report",
                   str(report), "--table", str(tmp_path / "t.csv")])
         assert rc == EXIT_BUDGET
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--outer-steps", "-5"), ("--tol", "0"), ("--mu0", "1"),
+    ], ids=["outer-steps", "tol", "mu0"])
+    def test_bad_solver_setting_exit_code(self, tmp_path, flag, value):
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1", flag,
+                  value, "--report", str(report),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_SOLVER
         assert not report.exists()
 
 
@@ -333,6 +370,27 @@ class TestConfig:
     def test_default_kernel(self):
         specs = kernels_from_config({})
         assert specs[0].family == "matern32"
+
+    @pytest.mark.parametrize("key", [
+        "tau", "kernel.0.lenght", "kernel.2.family", "kernel.1.length",
+        "kernel.0.literal_prefactor",
+    ], ids=["top-level", "misspelled", "non-consecutive", "no-family",
+            "removed-field"])
+    def test_unread_key_rejected(self, key):
+        cfg = {"kernel.0.family": "matern32", key: "1"}
+        with pytest.raises(ValueError, match=re.escape(key)):
+            kernels_from_config(cfg)
+
+    def test_unread_key_is_bad_input(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("tau=0.5\nkernel.0.family=matern32\n"
+                        "kernel.0.lenght=0.01\n")
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "150", "--config",
+                  str(path), "--report", str(report),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_INPUT
+        assert not report.exists()
 
 
 class TestEntryPoint:

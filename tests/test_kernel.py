@@ -49,15 +49,6 @@ class TestEvaluate:
         with pytest.raises(KernelError):
             evaluate(RADIAL[0], [0.0, 0.0], [0.0])
 
-    def test_matern_literal_prefactor_variant(self):
-        # constant-prefactor form (1 + 5 sqrt(3)) exp(-5 sqrt(3) r)
-        spec = KernelSpec("matern32", length=0.2, dim_scaling=False,
-                          literal_prefactor=True)
-        r = 0.13
-        expected = (1.0 + 5.0 * sqrt(3.0)) * exp(-5.0 * sqrt(3.0) * r)
-        assert radial_profile(spec, r, dim=3) == pytest.approx(expected,
-                                                               rel=1e-14)
-
     def test_tensor_product_equals_component_product(self, rng):
         space = KernelSpec("matern32", length=0.2)
         time = KernelSpec("periodic", length=1.0, dim_scaling=False)

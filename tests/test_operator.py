@@ -328,11 +328,3 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(OperatorError, match="corrupt"):
             CompressedOperator.load(path)
-
-    def test_matrix_market_export(self, rng, tmp_path):
-        import scipy.io
-        op = dense_op(rng.standard_normal((6, 6)))
-        path = tmp_path / "op.mtx"
-        op.export_matrix_market(path)
-        back = scipy.io.mmread(path).toarray()
-        assert np.abs(back - op.to_dense()).max() <= 1e-12

@@ -149,14 +149,15 @@ class TestFista:
 
 class TestMrssn:
     def test_scalar_closed_form(self):
-        rep = mrssn(dense_op([[1.0]]), [2.0], [1.0], gamma=0.5, tol=1e-12)
+        rep = mrssn(dense_op([[1.0]]), [2.0], [1.0],
+                    config=SolverConfig(tol=1e-12))
         assert rep.iterations <= 2
         assert abs(rep.beta[0] - 1.0) <= 1e-12
 
     def test_zero_weights_full_active_set(self, rng):
         A = random_spd(16, rng, ridge=1.0)
         h = rng.standard_normal(16)
-        rep = mrssn(dense_op(A), h, 0.0, gamma=1.0, tol=1e-10)
+        rep = mrssn(dense_op(A), h, 0.0, config=SolverConfig(tol=1e-10))
         assert rep.final_active_size == 16
         ref = np.linalg.solve(A, h)
         assert np.linalg.norm(rep.beta - ref) / np.linalg.norm(ref) <= 1e-8
@@ -164,7 +165,7 @@ class TestMrssn:
     def test_matches_cd_oracle(self):
         for seed in (0, 11, 29):
             A, h, w = easy_lasso(seed)
-            rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-10)
+            rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-10))
             b = cd_lasso(A, h, w)
             assert abs(rep.objective - lasso_objective(A, h, b, w)) <= 1e-8
             assert kkt_violation(A, h, rep.beta, w) <= 1e-8
@@ -173,8 +174,7 @@ class TestMrssn:
         A = random_spd(30, rng, ridge=1.0)
         h = rng.standard_normal(30)
         with pytest.raises(SolverError, match="cap"):
-            mrssn(dense_op(A), h, 0.0, gamma=1.0,
-                  config=SolverConfig(active_set_cap=5))
+            mrssn(dense_op(A), h, 0.0, config=SolverConfig(active_set_cap=5))
 
     def test_damped_steps_match_cd_oracle(self):
         # ill-conditioned instances: the full Newton step often goes uphill,
@@ -186,7 +186,7 @@ class TestMrssn:
             A = random_spd(n, rng, ridge=1e-3)
             h = rng.standard_normal(n)
             w = np.full(n, 0.05 * np.abs(A.T @ h).max())
-            rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-10)
+            rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-10))
             b = cd_lasso(A, h, w)
             assert abs(rep.objective - lasso_objective(A, h, b, w)) <= 1e-8
             assert kkt_violation(A, h, rep.beta, w) <= 1e-8
@@ -197,7 +197,7 @@ class TestMrssn:
     def test_fixed_point_for_scaled_gammas(self):
         A, h, w = easy_lasso(5)
         op = dense_op(A)
-        rep = mrssn(op, h, w, gamma="auto", tol=1e-10)
+        rep = mrssn(op, h, w, config=SolverConfig(tol=1e-10))
         gamma_star = rep.extras["gamma"]
         for g in (0.1 * gamma_star, gamma_star, 10 * gamma_star):
             u = rep.beta + g * op.matvec_transpose(h - op.matvec(rep.beta))
@@ -207,7 +207,7 @@ class TestMrssn:
 
 @pytest.mark.parametrize("solve", [
     lambda op, h: ridge_cg(op, h, 0.1),
-    lambda op, h: mrssn(op, h, 0.1, gamma="auto"),
+    lambda op, h: mrssn(op, h, 0.1),
     lambda op, h: ir_mrssn(op, h, 0.1),
     lambda op, h: fista(op, h, 0.1, mode="mr"),
 ], ids=["ridge_cg", "mrssn", "ir_mrssn", "mrfista"])
@@ -225,7 +225,7 @@ class TestIrMrssn:
         op = dense_op(A)
         rep_ir = ir_mrssn(op, h, w, config=SolverConfig(tol=1e-10,
                                                         outer_steps=0))
-        rep_plain = mrssn(op, h, w, gamma="auto", tol=1e-10)
+        rep_plain = mrssn(op, h, w, config=SolverConfig(tol=1e-10))
         assert np.array_equal(rep_ir.beta, rep_plain.beta)
 
     def test_tiny_mu0_continuation_noop(self):
@@ -233,7 +233,7 @@ class TestIrMrssn:
         op = dense_op(A)
         rep_ir = ir_mrssn(op, h, w, config=SolverConfig(
             tol=1e-10, mu0=1.0 + 1e-9, outer_steps=1))
-        rep_plain = mrssn(op, h, w, gamma="auto", tol=1e-10)
+        rep_plain = mrssn(op, h, w, config=SolverConfig(tol=1e-10))
         assert np.abs(rep_ir.beta - rep_plain.beta).max() <= 1e-7
 
     def test_sparser_than_fista_on_benchmark(self):
@@ -263,15 +263,18 @@ class TestIrMrssn:
                       mode="mr")
         assert abs(rep_ir.objective - rep_f.objective) <= 1e-6
 
-    @pytest.mark.parametrize("w, gamma", [
-        (0.1, 0.0), (0.1, -1.0), (-0.1, "auto"),
-    ], ids=["gamma-zero", "gamma-negative", "negative-weight"])
-    def test_bad_weight_or_gamma_rejected(self, w, gamma):
-        # gamma = 0 makes the fixed-point residual vanish identically, so
-        # the solve would stop at once and report beta = 0 as converged
+    @pytest.mark.parametrize("w", [-0.1], ids=["negative-weight"])
+    def test_bad_weight_or_gamma_rejected(self, w):
         A, h, _ = easy_lasso(3)
         with pytest.raises(SolverError, match="must be"):
-            ir_mrssn(dense_op(A), h, w, config=SolverConfig(gamma=gamma))
+            ir_mrssn(dense_op(A), h, w)
+
+    def test_negative_outer_steps_rejected(self):
+        # mu = mu0 ** outer_steps would start below 1, so the only stage
+        # would solve at a smaller weight than the one asked for
+        A, h, w = easy_lasso(3)
+        with pytest.raises(SolverError, match="outer_steps"):
+            ir_mrssn(dense_op(A), h, w, config=SolverConfig(outer_steps=-5))
 
     def test_error_context(self, rng):
         A = random_spd(30, rng, ridge=1.0)
@@ -346,7 +349,7 @@ class TestReport:
     def test_json_round_trip_and_timing_toggle(self):
         import json
         A, h, w = easy_lasso(2)
-        rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-8)
+        rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-8))
         full = json.loads(rep.to_json())
         assert "wall_time" in full and "beta" in full
         bare = json.loads(rep.to_json(include_coefficients=False,
@@ -355,7 +358,7 @@ class TestReport:
 
     def test_coefficients_csv(self, tmp_path):
         A, h, w = easy_lasso(4)
-        rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-8)
+        rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-8))
         path = tmp_path / "coeff.csv"
         rep.coefficients_csv(path)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -480,7 +483,7 @@ class TestGramCache:
 
     def test_mrssn_counters_match_history(self):
         A, h, w = easy_lasso(7)
-        rep = mrssn(dense_op(A), h, w, gamma="auto", tol=1e-10)
+        rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-10))
         flags = [e["newton_step"] for e in rep.history if "newton_step" in e]
         assert rep.extras["newton_accepted"] == sum(flags)
         assert rep.extras["newton_rejected"] == len(flags) - sum(flags)
