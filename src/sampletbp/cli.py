@@ -12,7 +12,8 @@ import numpy as np
 from . import __version__
 from .bench import (BenchmarkCase, cartesian_grid, default_leaf_capacity,
                     generate, grid_eval, metrics)
-from .geometry import BudgetError, GeometryError, PointCloud, build_cluster_tree
+from .geometry import (BudgetError, GeometryError, PointCloud,
+                       build_cluster_tree, read_numeric_csv)
 from .kernel import KernelError, KernelSpec
 from .operator import compress
 from .samplet import build_samplet_basis
@@ -205,7 +206,10 @@ def cmd_fit(args):
 def cmd_eval(args):
     cloud = PointCloud.from_csv(args.points)
     specs = _resolve_kernels(args)
-    table = np.loadtxt(args.coefficients, delimiter=",", skiprows=1, ndmin=2)
+    table = read_numeric_csv(args.coefficients)
+    if table.shape[1] < 3:
+        raise GeometryError("coefficient file needs the columns index, beta, "
+                            f"alpha; it has {table.shape[1]}")
     alpha = table[:, 2]
     if alpha.shape[0] != cloud.n * len(specs):
         raise GeometryError("coefficient count does not match N * L")

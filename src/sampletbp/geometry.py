@@ -63,7 +63,7 @@ class PointCloud:
     @staticmethod
     def from_csv(path, has_values=False):
         """Load `x1,...,xd[,value]` rows; header row is skipped if non-numeric."""
-        rows = _read_numeric_csv(path)
+        rows = read_numeric_csv(path)
         if has_values:
             if rows.shape[1] < 2:
                 raise GeometryError("need at least one coordinate and one value column")
@@ -71,7 +71,10 @@ class PointCloud:
         return PointCloud(rows)
 
 
-def _read_numeric_csv(path):
+def read_numeric_csv(path):
+    """Numeric CSV rows as a 2-D array; a non-numeric first line is a header.
+
+    Raises ``GeometryError`` for a malformed file or one without data rows."""
     with open(path) as fh:
         first = fh.readline()
     try:

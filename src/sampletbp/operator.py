@@ -1,5 +1,6 @@
-"""Kernel operators in samplet coordinates: thresholded sparse storage,
-matvecs, column Gram blocks, multi-kernel stacking, Lipschitz estimates."""
+"""Kernel operators in samplet coordinates: streamed compression,
+thresholded sparse storage, matvecs, column Gram blocks, multi-kernel
+stacking, Lipschitz estimates."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import numpy as np
 import scipy.sparse
 
 from .geometry import BudgetError
-from .kernel import assemble_dense
+# assemble_dense stays importable from here: perfbench's tracer rebinds it
+from .kernel import assemble_dense, cross_matrix  # noqa: F401
 from .samplet import SampletBasis
 
 
@@ -207,9 +209,11 @@ def transform_two_sided(basis: SampletBasis, K):
     return C.T
 
 
-# peak bytes per kernel entry of the dense path: about six N x N float64
-# arrays are alive at once (assembly, the two transform passes, threshold)
-DENSE_BYTES_PER_ENTRY = 6 * 8
+PANEL = 512  # kernel columns assembled and transformed at a time
+# peak memory of the streamed build: the one N x N float64 buffer plus about
+# PANEL_COPIES float64 N x PANEL panels alive at once during kernel
+# assembly and the transforms
+PANEL_COPIES = 8
 
 
 def physical_memory():
@@ -217,26 +221,95 @@ def physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
-    """Samplet-compressed kernel operator K^Sigma_eps at desk scale: dense
-    assembly, exact two-sided transform, a-posteriori thresholding.
+def compress_peak_bytes(n):
+    """Estimated peak bytes of ``compress`` at N = n."""
+    return 8 * n * (n + PANEL_COPIES * min(PANEL, n))
 
-    Raises ``BudgetError`` before allocating when the dense path's peak
-    memory estimate exceeds the machine's physical memory."""
-    need = DENSE_BYTES_PER_ENTRY * cloud.n ** 2
+
+def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
+    """Samplet-compressed kernel operator K^Sigma_eps: exact two-sided
+    transform, a-posteriori thresholding, streamed in two passes over
+    column panels so that one N x N buffer is alive.
+
+    Pass 1 assembles K[:, J] a panel J at a time and stores (T K[:, J])^T
+    as rows J of the buffer (T K)^T.  Pass 2 transforms the buffer's
+    columns J into rows J of C = T K T^T, keeps their lower triangle,
+    thresholds it at tau, always keeping the diagonal, and accumulates the
+    total and dropped squared mass with off-diagonal entries counted twice.
+    The kept strict lower triangle is mirrored into the upper one, so the
+    operator is exactly symmetric.
+
+    Raises ``BudgetError`` above N = cap, and before allocating when the
+    estimated peak, ``compress_peak_bytes``, exceeds the machine's physical
+    memory: the N x N buffer plus the panels of assembly and transform; the
+    sparse result is left out."""
+    n = cloud.n
+    if n > cap:
+        raise BudgetError(f"kernel assembly capped at N = {cap}")
+    need = compress_peak_bytes(n)
     have = physical_memory()
     if need > have:
         raise BudgetError(
-            f"dense compression at N = {cloud.n} needs about "
-            f"{need / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB")
-    # .T gives back the contiguous buffer; K is symmetric, so it holds
-    # T K T^T up to rounding
-    C = transform_two_sided(basis, assemble_dense(spec, cloud, cap=cap)).T
-    # the exact transform of a symmetric matrix is symmetric up to rounding;
-    # enforcing it keeps the sparsity pattern symmetric after thresholding
-    C += C.T
-    C *= 0.5
-    return CompressedOperator.from_dense(C, tau)
+            f"compression at N = {n} needs about {need / 2**30:.1f} GiB; "
+            f"physical memory is {have / 2**30:.1f} GiB")
+    pts = cloud.points
+    Bt = np.empty((n, n))
+    for lo in range(0, n, PANEL):
+        J = slice(lo, min(lo + PANEL, n))
+        Bt[J] = basis.forward(cross_matrix(spec, pts, pts[J])).T
+    total_sq = 0.0
+    dropped_sq = 0.0
+    counts, cols, vals = [], [], []
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        # rows lo:hi, columns :hi of C, which is symmetric up to rounding
+        S = np.ascontiguousarray(basis.forward(Bt[:, lo:hi])[:hi].T)
+        if not np.all(np.isfinite(S)):
+            raise OperatorError("non-finite matrix entries")
+        lower = np.tri(hi - lo, hi, lo, dtype=bool)  # column <= row
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        sq = S * S
+        keep = np.abs(S) >= tau
+        keep &= lower
+        keep[diag] = True
+        drop = lower & ~keep
+        total_sq += 2.0 * float(sq.sum(where=lower)) - float(sq[diag].sum())
+        dropped_sq += 2.0 * float(sq.sum(where=drop))
+        r, c = np.nonzero(keep)
+        counts.append(keep.sum(axis=1))
+        cols.append(c)
+        vals.append(S[r, c])
+    del Bt  # the sparse assembly below runs without the N x N buffer
+    matrix = _mirror_lower(n, np.concatenate(counts), np.concatenate(cols),
+                           np.concatenate(vals))
+    est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
+    return CompressedOperator(matrix=matrix, threshold=float(tau),
+                              est_rel_frobenius_error=float(est))
+
+
+def _mirror_lower(n, counts, cols, vals):
+    """Symmetric CSR matrix from its lower triangle, given row by row with
+    sorted columns and the diagonal last: row i is L[i, :i + 1] followed by
+    L[i + 1:, i]."""
+    lptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=lptr[1:])
+    strict = np.ones(cols.size, dtype=bool)
+    strict[lptr[1:] - 1] = False
+    # the strict lower triangle by columns is the strict upper one by rows
+    upper = scipy.sparse.csr_matrix(
+        (vals[strict], cols[strict], lptr - np.arange(n + 1)),
+        shape=(n, n)).tocsc()
+    uptr = upper.indptr.astype(np.int64)
+    indptr = lptr + uptr
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    lower_at = np.arange(cols.size) + np.repeat(uptr[:-1], counts)
+    upper_at = np.arange(upper.nnz) + np.repeat(lptr[1:], np.diff(uptr))
+    indices[lower_at] = cols
+    data[lower_at] = vals
+    indices[upper_at] = upper.indices
+    data[upper_at] = upper.data
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # power iteration of estimate_lipschitz: relative stopping tolerance,

@@ -159,6 +159,20 @@ class TestFitEval:
                   "--grid", "50x50", "--budget", "1000"])
         assert rc == EXIT_BUDGET
 
+    @pytest.mark.parametrize("content", [
+        "index,beta\n" + "".join(f"{i},0\n" for i in range(100)),
+        "index,beta,alpha\n",
+    ], ids=["two-columns", "header-only"])
+    def test_eval_malformed_coefficient_file(self, cloud_csv, tmp_path,
+                                             content):
+        coeff = tmp_path / "c.csv"
+        coeff.write_text(content)
+        field = tmp_path / "f.csv"
+        rc = run(["eval", "--points", str(cloud_csv), "--coefficients",
+                  str(coeff), "--output", str(field), "--grid", "5x5"])
+        assert rc == EXIT_BAD_INPUT
+        assert not field.exists()
+
     def test_eval_non_finite_coefficient_rejected(self, cloud_csv, tmp_path):
         alpha = np.ones(100)
         alpha[7] = np.nan

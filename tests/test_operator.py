@@ -13,7 +13,7 @@ from conftest import dense_op, random_spd
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        PointCloud, assemble_dense, build_cluster_tree,
                        build_samplet_basis, compress, estimate_lipschitz)
-from sampletbp.operator import (DENSE_BYTES_PER_ENTRY, OperatorError,
+from sampletbp.operator import (PANEL, OperatorError, compress_peak_bytes,
                                 transform_two_sided)
 
 
@@ -96,14 +96,35 @@ class TestCompress:
         with pytest.raises(BudgetError):
             compress(basis, MATERN, cloud, tau=1e-4, cap=16)
 
+    def test_streamed_matches_dense_oracle(self, rng):
+        # several panels, the last one ragged
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n)
+        K = assemble_dense(MATERN, cloud)
+        Td = basis.to_dense()
+        dense = Td @ K @ Td.T
+        op = compress(basis, MATERN, cloud, tau=0.0)
+        assert np.abs(op.to_dense() - dense).max() <= 1e-12
+        tau = 1e-4
+        op = compress(basis, MATERN, cloud, tau=tau)
+        assert (op.matrix != op.matrix.T).nnz == 0
+        assert op.matrix.has_canonical_format
+        assert np.all(op.diagonal() != 0.0)
+        sym = 0.5 * (dense + dense.T)
+        mask = np.abs(sym) >= tau
+        np.fill_diagonal(mask, True)
+        dropped = sym[~mask]
+        oracle = np.sqrt(float(dropped @ dropped) / float(np.sum(sym ** 2)))
+        assert abs(op.est_rel_frobenius_error - oracle) <= 1e-12
+
     def test_memory_budget(self, rng, monkeypatch):
-        # the estimate is checked before the dense matrix is assembled
+        # the estimate is checked before any kernel entry is computed
         cloud, basis = make_setup(rng, 32)
-        need = DENSE_BYTES_PER_ENTRY * 32 ** 2
+        need = compress_peak_bytes(32)
         memory = "sampletbp.operator.physical_memory"
         monkeypatch.setattr(memory, lambda: need - 1)
         with monkeypatch.context() as m:
-            m.setattr("sampletbp.operator.assemble_dense",
+            m.setattr("sampletbp.operator.cross_matrix",
                       lambda *args, **kw: pytest.fail("assembled"))
             with pytest.raises(BudgetError, match="physical memory"):
                 compress(basis, MATERN, cloud, tau=1e-4)
