@@ -62,6 +62,37 @@ def radial_profile(spec: KernelSpec, r, dim):
     raise KernelError(f"{spec.family} is not a radial family")
 
 
+def _profile_in_place(spec, R, dim):
+    """radial_profile on the float array R of distances, computed in R's
+    buffer, which it overwrites and returns, with at most one temporary the
+    size of R: the same operations in the same order, so the same values
+    bit for bit."""
+    scale = spec.length * sqrt(dim) if spec.dim_scaling else spec.length
+    if spec.family == "matern32":
+        R /= scale
+        R *= sqrt(3.0)
+        E = np.negative(R)
+        np.exp(E, out=E)
+        R += 1.0
+        R *= E
+    elif spec.family == "exponential":
+        R /= scale
+        np.negative(R, out=R)
+        np.exp(R, out=R)
+    elif spec.family == "gaussian":
+        R /= scale
+        R *= R * -0.5
+        np.exp(R, out=R)
+    elif spec.family == "periodic":
+        R *= np.pi * spec.frequency
+        np.sin(R, out=R)
+        R *= R * -spec.periodic_scale
+        np.exp(R, out=R)
+    else:
+        raise KernelError(f"{spec.family} is not a radial family")
+    return R
+
+
 def _component_slices(spec, dim):
     slices = []
     covered = []
@@ -102,8 +133,7 @@ def cross_matrix(spec: KernelSpec, xs, ys):
         for comp, idx in _component_slices(spec, d):
             out *= cross_matrix(comp, xs[:, list(idx)], ys[:, list(idx)])
         return out
-    R = cdist(xs, ys)
-    K = radial_profile(spec, R, d)
+    K = _profile_in_place(spec, cdist(xs, ys), d)
     if not np.all(np.isfinite(K)):
         raise KernelError("non-finite kernel values")
     return K

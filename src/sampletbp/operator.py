@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +211,12 @@ def transform_two_sided(basis: SampletBasis, K):
 
 
 PANEL = 512  # kernel columns assembled and transformed at a time
-# peak memory of the streamed build: the one N x N float64 buffer plus about
-# PANEL_COPIES float64 N x PANEL panels alive at once during kernel
-# assembly and the transforms
+# peak memory of the streamed build: the one N x N float64 buffer plus, for
+# each worker, PANEL_COPIES float64 N x PANEL panels.  A worker holds about
+# three at once (kernel panel, permuted copy and transform output); the
+# rest covers the interpreter and libraries, so that at N = 10^4 the
+# estimate is at or above the measured peak RSS of the whole process with
+# one, two or three workers
 PANEL_COPIES = 8
 
 
@@ -221,9 +225,19 @@ def physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def panel_workers(n):
+    """Threads of ``compress`` at N = n: one per core this process may run
+    on, at most one per panel, and no more than physical memory holds
+    beside the N x N buffer; at least one."""
+    panels = -(-n // PANEL)
+    per_worker = 8 * n * PANEL_COPIES * min(PANEL, n)
+    fit = (physical_memory() - 8 * n * n) // per_worker
+    return max(1, min(len(os.sched_getaffinity(0)), panels, fit))
+
+
 def compress_peak_bytes(n):
     """Estimated peak bytes of ``compress`` at N = n."""
-    return 8 * n * (n + PANEL_COPIES * min(PANEL, n))
+    return 8 * n * (n + panel_workers(n) * PANEL_COPIES * min(PANEL, n))
 
 
 def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
@@ -239,10 +253,17 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     The kept strict lower triangle is mirrored into the upper one, so the
     operator is exactly symmetric.
 
+    The panels of each pass run on a pool of ``panel_workers(n)`` threads,
+    one per available core (numpy, BLAS and cdist release the interpreter
+    lock); a single panel runs in the calling thread.  Pass 1 panels write
+    disjoint rows of the buffer, pass 2 panels only read it, and their
+    results are combined in panel order, so the operator and its error
+    estimate do not depend on the number of workers.
+
     Raises ``BudgetError`` above N = cap, and before allocating when the
     estimated peak, ``compress_peak_bytes``, exceeds the machine's physical
-    memory: the N x N buffer plus the panels of assembly and transform; the
-    sparse result is left out."""
+    memory: the N x N buffer plus the panels of every worker; the sparse
+    result is left out."""
     n = cloud.n
     if n > cap:
         raise BudgetError(f"kernel assembly capped at N = {cap}")
@@ -254,37 +275,61 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
             f"physical memory is {have / 2**30:.1f} GiB")
     pts = cloud.points
     Bt = np.empty((n, n))
-    for lo in range(0, n, PANEL):
-        J = slice(lo, min(lo + PANEL, n))
+
+    def transform_panel(J):
         Bt[J] = basis.forward(cross_matrix(spec, pts, pts[J])).T
-    total_sq = 0.0
-    dropped_sq = 0.0
-    counts, cols, vals = [], [], []
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        # rows lo:hi, columns :hi of C, which is symmetric up to rounding
-        S = np.ascontiguousarray(basis.forward(Bt[:, lo:hi])[:hi].T)
-        if not np.all(np.isfinite(S)):
-            raise OperatorError("non-finite matrix entries")
-        lower = np.tri(hi - lo, hi, lo, dtype=bool)  # column <= row
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        sq = S * S
-        keep = np.abs(S) >= tau
-        keep &= lower
-        keep[diag] = True
-        drop = lower & ~keep
-        total_sq += 2.0 * float(sq.sum(where=lower)) - float(sq[diag].sum())
-        dropped_sq += 2.0 * float(sq.sum(where=drop))
-        r, c = np.nonzero(keep)
-        counts.append(keep.sum(axis=1))
-        cols.append(c)
-        vals.append(S[r, c])
+
+    def threshold_panel(J):
+        # C^T[:hi, J], which is C[J, :hi]^T up to rounding
+        return _threshold_lower(basis.forward(Bt[:, J])[:J.stop], J.start,
+                                tau)
+
+    panels = [slice(lo, min(lo + PANEL, n)) for lo in range(0, n, PANEL)]
+    if len(panels) == 1:
+        transform_panel(panels[0])
+        parts = [threshold_panel(panels[0])]
+    else:
+        with ThreadPoolExecutor(panel_workers(n)) as pool:
+            list(pool.map(transform_panel, panels))
+            parts = list(pool.map(threshold_panel, panels))
     del Bt  # the sparse assembly below runs without the N x N buffer
+    total, dropped, counts, cols, vals = zip(*parts)  # in panel order
+    total_sq, dropped_sq = sum(total), sum(dropped)
     matrix = _mirror_lower(n, np.concatenate(counts), np.concatenate(cols),
                            np.concatenate(vals))
     est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
     return CompressedOperator(matrix=matrix, threshold=float(tau),
                               est_rel_frobenius_error=float(est))
+
+
+def _threshold_lower(X, lo, tau):
+    """Threshold rows lo:lo + h of the lower triangle of a symmetric matrix
+    C, given as X = C[lo:lo + h, :lo + h]^T, and overwrite X.
+
+    Keeps the entries with |C| >= tau and the diagonal.  Returns the total
+    and the dropped squared mass of the rows' share of C (off-diagonal
+    entries counted twice), the kept count of each row and the kept columns
+    and values in row-major order."""
+    if not np.all(np.isfinite(X)):
+        raise OperatorError("non-finite matrix entries")
+    h = X.shape[1]
+    upper = np.tril(np.ones((h, h), dtype=bool), -1)  # column of C > row
+    X[lo:][upper] = 0.0
+    keep = X >= tau
+    keep |= X <= -tau
+    keep[lo:] &= ~upper  # only for tau <= 0 can a zero pass
+    diag = (np.arange(lo, lo + h), np.arange(h))
+    keep[diag] = True
+    d = X[diag]
+    total = 2.0 * float(np.vdot(X, X)) - float(d @ d)
+    c, r = np.nonzero(keep)
+    order = np.argsort(r, kind="stable")  # by row, then column
+    r, c = r[order], c[order]
+    vals = X[c, r]
+    # the dropped mass is summed directly: total minus kept would cancel
+    X[c, r] = 0.0
+    dropped = 2.0 * float(np.vdot(X, X))
+    return total, dropped, np.bincount(r, minlength=h), c, vals
 
 
 def _mirror_lower(n, counts, cols, vals):

@@ -52,36 +52,30 @@ def moment_matrix(points, bbox, alphas):
     half = np.where(half > 0.0, half, 1.0)
     z = (points - mid) / half  # (n, d)
     n, d = z.shape
-    # per-coordinate power tables up to max degree
+    # per-coordinate power tables up to max degree, (degree, coordinate, n)
     qmax = int(alphas.max(initial=0))
-    powers = np.ones((qmax + 1, n, d))
+    powers = np.ones((qmax + 1, d, n))
     for p in range(1, qmax + 1):
-        powers[p] = powers[p - 1] * z
-    M = np.ones((alphas.shape[0], n))
-    for r, alpha in enumerate(alphas):
-        for j in range(d):
-            if alpha[j] > 0:
-                M[r] *= powers[alpha[j], :, j]
+        powers[p] = powers[p - 1] * z.T
+    # row r is the product over coordinates j of z_j^alpha[r, j], in order j
+    M = powers[alphas, np.arange(d)].prod(axis=1)
     if not np.all(np.isfinite(M)):
         raise SampletError("non-finite moment matrix entries")
     return M
 
 
-def _signed_qr(MT):
-    """Full QR of MT with nonnegative R diagonal; samplet columns get a
-    canonical sign (largest-magnitude entry positive)."""
+def _signed_q(MT):
+    """Q factors of the full QR of MT, one matrix or a stack, signed as if R
+    had a nonnegative diagonal; samplet columns get a canonical sign
+    (largest-magnitude entry positive).  Sign flips are exact, so columns
+    are negated bit for bit."""
     Q, R = np.linalg.qr(MT, mode="complete")
-    m = min(MT.shape)
-    for j in range(m):
-        if R[j, j] < 0.0:
-            Q[:, j] = -Q[:, j]
-            R[j, :] = -R[j, :]
-    for j in range(MT.shape[1], Q.shape[1]):
-        col = Q[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0.0:
-            Q[:, j] = -col
-    return Q, R
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    Q[..., :diag.shape[-1]] *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+    sam = Q[..., MT.shape[-1]:]
+    top = np.argmax(np.abs(sam), axis=-2)[..., None, :]
+    sam *= np.where(np.take_along_axis(sam, top, axis=-2) < 0.0, -1.0, 1.0)
+    return Q
 
 
 @dataclass
@@ -173,24 +167,23 @@ class SampletBasis:
 
         def emit(global_start, lo, vectors):
             # vectors: (size, count), rows indexed in tree order lo..lo+size
-            size, count = vectors.shape
-            tree_idx = perm[lo : lo + size]
-            for j in range(count):
-                col = vectors[:, j]
-                nz = np.nonzero(col)[0]
-                rows.append(np.full(nz.size, global_start + j, dtype=np.int64))
-                cols.append(tree_idx[nz])
-                vals.append(col[nz])
+            j, i = np.nonzero(vectors.T)  # column by column, as T's rows
+            rows.append(global_start + j)
+            cols.append(perm[lo + i])
+            vals.append(vectors[i, j])
 
         emit(0, 0, self.root_scaling_vectors)
         for blk in self.blocks_bfs:
             if blk.n_samplets:
                 emit(blk.out_start, blk.node.lo, blk.sam_vectors)
+        # the blocks emit their rows in ascending order, so T is CSR already
+        # once each row's columns are sorted
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.concatenate(rows), minlength=n),
+                  out=indptr[1:])
         T = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        T.sum_duplicates()
+            (np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
+        T.sort_indices()
         return T
 
     def to_dense(self):
@@ -208,56 +201,64 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
     alphas = multi_indices(d, q)
     pts_tree = cloud.points[tree.permutation]
 
-    def build(node):
-        n = node.size
-        if n < 1:
+    def moments(node, child_blocks):
+        """Moment matrix M = P V of a block's inputs and V, the children's
+        scaling vectors stacked block-diagonally in tree order (None at a
+        leaf, where V is the identity)."""
+        if node.size < 1:
             raise SampletError("leaf with no points")
         P = moment_matrix(pts_tree[node.lo : node.hi], node.bbox, alphas)
-        if node.is_leaf:
-            M = P  # V = identity
-            child_blocks = ()
-            V = None
-        else:
-            child_blocks = tuple(build(c) for c in node.children)
-            # stack children's scaling vectors block-diagonally (tree order)
-            cols = sum(b.m_scal for b in child_blocks)
-            V = np.zeros((n, cols))
-            off = 0
-            for b in child_blocks:
-                lo = b.node.lo - node.lo
-                V[lo : lo + b.node.size, off : off + b.m_scal] = b._V_scal
-                off += b.m_scal
-            M = P @ V
-        n_in = M.shape[1]
-        Q, _ = _signed_qr(M.T)
-        m_scal = min(m_q, n_in)
-        n_sam = n_in - m_scal
-        if V is None:
-            V_scal = Q[:, :m_scal]
-            sam_vectors = np.ascontiguousarray(Q[:, m_scal:])
-        else:
-            V_scal = V @ Q[:, :m_scal]
-            sam_vectors = V @ Q[:, m_scal:]
-        blk = _Block(node=node, Q=Q, m_scal=m_scal, children=child_blocks,
-                     n_samplets=n_sam, sam_vectors=sam_vectors,
-                     sam_l1=np.abs(sam_vectors).sum(axis=0))
-        blk._V_scal = V_scal
-        return blk
+        if not child_blocks:
+            return P, None
+        V = np.zeros((node.size, sum(b.m_scal for b in child_blocks)))
+        off = 0
+        for b in child_blocks:
+            lo = b.node.lo - node.lo
+            V[lo : lo + b.node.size, off : off + b.m_scal] = b._V_scal
+            off += b.m_scal
+        return P @ V, V
 
-    root_blk = build(tree.root)
-    root_scaling_vectors = np.ascontiguousarray(root_blk._V_scal)
-    n_root_scaling = root_blk.m_scal
+    # bottom-up, a level at a time, so that the QR factorizations of a
+    # level's blocks of one shape run as one stacked call
+    nodes = list(tree.nodes_breadth_first())
+    by_level = {}
+    for node in nodes:
+        by_level.setdefault(node.level, []).append(node)
+    blocks = {}  # id(node) -> _Block
+    for level in sorted(by_level, reverse=True):
+        work = []
+        for node in by_level[level]:
+            child_blocks = tuple(blocks[id(c)] for c in node.children)
+            work.append((node, child_blocks) + moments(node, child_blocks))
+        by_shape = {}
+        for i, (_, _, M, _) in enumerate(work):
+            by_shape.setdefault(M.shape, []).append(i)
+        Qs = {}
+        for idx in by_shape.values():
+            Qs.update(zip(idx, _signed_q(np.stack([work[i][2].T
+                                                   for i in idx]))))
+        for i, (node, child_blocks, M, V) in enumerate(work):
+            Q = Qs[i].copy()  # its own array, as an unstacked QR gives
+            m_scal = min(m_q, M.shape[1])
+            if V is None:
+                V_scal = Q[:, :m_scal]
+                sam_vectors = np.ascontiguousarray(Q[:, m_scal:])
+            else:
+                V_scal = V @ Q[:, :m_scal]
+                sam_vectors = V @ Q[:, m_scal:]
+            blk = _Block(node=node, Q=Q, m_scal=m_scal, children=child_blocks,
+                         n_samplets=M.shape[1] - m_scal,
+                         sam_vectors=sam_vectors,
+                         sam_l1=np.abs(sam_vectors).sum(axis=0))
+            blk._V_scal = V_scal
+            blocks[id(node)] = blk
 
     # breadth-first output ordering: root scaling block, then samplets level
     # by level, within a level in tree order, within a node in build order
-    blocks_bfs = []
-    queue = [root_blk]
-    while queue:
-        nxt = []
-        for blk in queue:
-            blocks_bfs.append(blk)
-            nxt.extend(blk.children)
-        queue = nxt
+    blocks_bfs = [blocks[id(node)] for node in nodes]
+    root_blk = blocks_bfs[0]
+    root_scaling_vectors = np.ascontiguousarray(root_blk._V_scal)
+    n_root_scaling = root_blk.m_scal
     levels = np.empty(tree.n, dtype=np.int64)
     levels[:n_root_scaling] = 0
     pos = n_root_scaling

@@ -3,6 +3,7 @@ from math import exp, sqrt
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from sampletbp import (BudgetError, KernelSpec, PointCloud, assemble_dense,
                        evaluate)
@@ -94,6 +95,31 @@ class TestAssemble:
             for j in range(4):
                 assert M[i, j] == pytest.approx(
                     evaluate(RADIAL[0], xs[i], ys[j]), rel=1e-14)
+
+    @pytest.mark.parametrize("dim_scaling", [True, False])
+    @pytest.mark.parametrize("family",
+                             ["matern32", "exponential", "gaussian", "periodic"])
+    def test_cross_matrix_is_profile_of_distances(self, rng, family,
+                                                  dim_scaling):
+        # evaluated in cdist's buffer, bit for bit the closed form
+        spec = KernelSpec(family, length=0.3, dim_scaling=dim_scaling,
+                          frequency=1.5)
+        xs = rng.uniform(-1, 1, (40, 3))
+        ys = rng.uniform(-1, 1, (30, 3))
+        ys[:5] = xs[:5]  # zero distances
+        assert np.array_equal(cross_matrix(spec, xs, ys),
+                              radial_profile(spec, cdist(xs, ys), 3))
+
+    def test_tensor_cross_matrix_is_component_product(self, rng):
+        space = KernelSpec("matern32", length=0.2)
+        time = KernelSpec("periodic", length=1.0, dim_scaling=False)
+        tensor = KernelSpec("tensor",
+                            components=((space, (0, 1)), (time, (2,))))
+        xs = rng.uniform(0, 1, (25, 3))
+        ys = rng.uniform(0, 1, (15, 3))
+        expected = (cross_matrix(space, xs[:, :2], ys[:, :2])
+                    * cross_matrix(time, xs[:, 2:], ys[:, 2:]))
+        assert np.array_equal(cross_matrix(tensor, xs, ys), expected)
 
     def test_cap(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, (20, 2)))

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import threading
 from math import comb
 
 import numpy as np
@@ -13,7 +14,9 @@ from conftest import dense_op, random_spd
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        PointCloud, assemble_dense, build_cluster_tree,
                        build_samplet_basis, compress, estimate_lipschitz)
-from sampletbp.operator import (PANEL, OperatorError, compress_peak_bytes,
+from sampletbp.kernel import cross_matrix
+from sampletbp.operator import (PANEL, PANEL_COPIES, OperatorError,
+                                compress_peak_bytes, panel_workers,
                                 transform_two_sided)
 
 
@@ -116,6 +119,65 @@ class TestCompress:
         dropped = sym[~mask]
         oracle = np.sqrt(float(dropped @ dropped) / float(np.sum(sym ** 2)))
         assert abs(op.est_rel_frobenius_error - oracle) <= 1e-12
+
+    def test_parallel_matches_serial(self, rng, monkeypatch):
+        # three panels: the operator does not depend on the worker count
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n)
+        ops = []
+        for workers in (1, 3):
+            monkeypatch.setattr("sampletbp.operator.panel_workers",
+                                lambda n, workers=workers: workers)
+            ops.append(compress(basis, MATERN, cloud, tau=1e-4))
+        serial, parallel = ops
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(serial.matrix, part),
+                                  getattr(parallel.matrix, part))
+        assert serial.est_rel_frobenius_error == \
+            parallel.est_rel_frobenius_error
+
+    def test_worker_failure_propagates(self, rng, monkeypatch):
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n)
+        second = cloud.points[PANEL:2 * PANEL]
+
+        def failing(spec, xs, ys):
+            if np.array_equal(ys, second):
+                raise RuntimeError("second panel failed")
+            return cross_matrix(spec, xs, ys)
+
+        def poisoned(spec, xs, ys):
+            K = cross_matrix(spec, xs, ys)
+            if np.array_equal(ys, second):
+                K[3, 5] = np.nan
+            return K
+
+        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 3)
+        threads = threading.active_count()
+        monkeypatch.setattr("sampletbp.operator.cross_matrix", failing)
+        with pytest.raises(RuntimeError, match="second panel failed"):
+            compress(basis, MATERN, cloud, tau=1e-4)
+        assert threading.active_count() == threads
+        # a NaN kernel entry reaches every row of C: pass 2 refuses it
+        monkeypatch.setattr("sampletbp.operator.cross_matrix", poisoned)
+        with pytest.raises(OperatorError, match="non-finite"):
+            compress(basis, MATERN, cloud, tau=1e-4)
+        assert threading.active_count() == threads
+
+    def test_worker_count(self, monkeypatch):
+        n = 4 * PANEL
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr("sampletbp.operator.physical_memory",
+                            lambda: 2**40)
+        assert panel_workers(n) == 4  # one per panel
+        assert panel_workers(PANEL) == 1
+        per_worker = 8 * n * PANEL_COPIES * PANEL
+        monkeypatch.setattr("sampletbp.operator.physical_memory",
+                            lambda: 8 * n * n + 2 * per_worker + 1)
+        assert panel_workers(n) == 2  # as many as memory holds
+        assert compress_peak_bytes(n) == 8 * n * n + 2 * per_worker
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        assert panel_workers(n) == 1
 
     def test_memory_budget(self, rng, monkeypatch):
         # the estimate is checked before any kernel entry is computed

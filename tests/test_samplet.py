@@ -67,6 +67,13 @@ class TestConstruction:
         Td = basis.to_dense()
         assert np.abs(Td.T @ Td - np.eye(n)).max() <= 1e-10
 
+    def test_samplet_signs_canonical(self, rng):
+        # each samplet column's largest-magnitude entry is positive
+        _, basis = make_basis(rng.uniform(-1, 1, (300, 2)), q=1)
+        for blk in basis.blocks_bfs:
+            for col in blk.Q[:, blk.m_scal:].T:
+                assert col[np.argmax(np.abs(col))] > 0.0
+
     def test_output_ordering_breadth_first(self, rng):
         _, basis = make_basis(rng.uniform(-1, 1, (400, 2)), q=1)
         assert np.all(np.diff(basis.levels) >= 0)
@@ -107,6 +114,7 @@ class TestTransforms:
     def test_inverse_of_unit_is_coefficient_vector(self, rng):
         _, basis = make_basis(rng.uniform(-1, 1, (90, 2)), 1)
         T = basis.to_sparse()
+        assert T.has_canonical_format  # sorted columns, no duplicates
         for k in (0, 30, 89):
             e = np.zeros(90)
             e[k] = 1.0
