@@ -35,6 +35,8 @@ class CompressedOperator:
     threshold: float
     est_rel_frobenius_error: float
     _csc: scipy.sparse.csc_matrix = field(default=None, repr=False)  # type: ignore
+    # K^T as CSR over the CSC arrays, built once for matvec_transpose
+    _transposed: scipy.sparse.csr_matrix = field(default=None, repr=False)  # type: ignore
 
     @property
     def shape(self):
@@ -66,7 +68,9 @@ class CompressedOperator:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n_rows:
             raise OperatorError("matvec_transpose length mismatch")
-        return self._columns().T @ v
+        if self._transposed is None:
+            self._transposed = self._columns().T
+        return self._transposed @ v
 
     def diagonal(self):
         return self.matrix.diagonal()
@@ -211,6 +215,7 @@ def transform_two_sided(basis: SampletBasis, K):
 
 
 PANEL = 512  # kernel columns assembled and transformed at a time
+STRIP = 64  # rows of a transformed panel stored transposed at a time
 # peak memory of the streamed build: the one N x N float64 buffer plus, for
 # each worker, PANEL_COPIES float64 N x PANEL panels.  A worker holds about
 # three at once (kernel panel, permuted copy and transform output); the
@@ -277,7 +282,11 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     Bt = np.empty((n, n))
 
     def transform_panel(J):
-        Bt[J] = basis.forward(cross_matrix(spec, pts, pts[J])).T
+        TK = basis.forward(cross_matrix(spec, pts, pts[J]))
+        # the transposing store in strips: a source strip and its target
+        # stay in cache, where one store of the whole panel does not
+        for lo in range(0, n, STRIP):
+            Bt[J, lo:lo + STRIP] = TK[lo:lo + STRIP].T
 
     def threshold_panel(J):
         # C^T[:hi, J], which is C[J, :hi]^T up to rounding

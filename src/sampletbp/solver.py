@@ -21,6 +21,8 @@ class SolverError(RuntimeError):
 MAX_NEWTON = 100  # Newton iterations of a plain solve and of the final stage
 STAGE_NEWTON = 10  # Newton iterations of each earlier continuation stage
 CD_SWEEPS = 50  # coordinate-descent sweeps per rejected Newton step
+CD_STOP = 1e-14  # a burst ends after a sweep with no larger step
+CD_CHUNK = 4  # first chunk of sign-preserving sweeps verified together
 DAMP_STEPS = 8  # Newton step lengths 1, 1/2, ..., 2**-7 tried before CD
 
 
@@ -316,34 +318,130 @@ class _GramCache:
         self.M[lo:hi, :lo] = G[:lo].T
 
 
+def _cd_sweep(b, g, d, thr, cols):
+    """One cyclic coordinate-descent sweep over the list ``b``; ``g`` is the
+    negative gradient of the smooth part, updated in place, ``d`` the
+    diagonal and ``thr`` the weights divided by it.  Returns the largest
+    step."""
+    delta_max = 0.0
+    for j in range(len(b)):
+        z = b[j] + g.item(j) / d[j]
+        s = abs(z) - thr[j]
+        s = s if s > 0.0 else 0.0
+        bj = s if z > 0 else -s if z < 0 else 0.0
+        step = bj - b[j]
+        if step != 0.0:
+            g -= cols[:, j] * step
+            b[j] = bj
+            delta_max = max(delta_max, abs(step))
+    return delta_max
+
+
+class _SignPattern:
+    """Cyclic coordinate-descent sweeps that change no sign, as Gauss-Seidel
+    steps.
+
+    Take the support P of b with signs s, c = kth_P - w_P s and the split
+    M_PP = L + D + U into strictly lower, diagonal and strictly upper
+    parts.  A sweep that moves no coordinate to or from zero and changes no
+    sign solves (D + L) b+_P = c - U b_P.  It is valid when every b+_p
+    keeps its sign s_p and every zero coordinate j passes the scalar
+    sweep's test for staying at zero,
+    |kth_j - sum_{p<j} M_jp b+_p - sum_{p>j} M_jp b_p| <= w_j.
+    """
+
+    def __init__(self, b, kth, w, M):
+        self.support = P = np.flatnonzero(b)
+        self.signs = np.sign(b[P])
+        zeros = np.flatnonzero(b == 0.0)
+        M_pp = M[np.ix_(P, P)]
+        self.lower = np.asfortranarray(np.tril(M_pp))  # D + L, for trsv
+        self.upper = np.triu(M_pp, 1)
+        self.c = kth[P] - w[P] * self.signs
+        # M[zeros, P] split into the coordinates swept before and after each
+        # zero coordinate: the first meet the new iterate, the rest the old
+        M_zp = M[np.ix_(zeros, P)]
+        before = P < zeros[:, None]
+        self.M_new = np.where(before, M_zp, 0.0)
+        self.M_old = np.where(before, 0.0, M_zp)
+        self.kth_z, self.w_z = kth[zeros], w[zeros]
+
+    def sweep(self, b_p, m):
+        """Up to m sweeps from the support values b_p, verified together.
+
+        Returns the support values after the valid sweeps that come before
+        the first invalid one, or up to and including the first whose
+        largest step is below CD_STOP, the number of those sweeps, and
+        whether that stop was reached."""
+        B = np.empty((m + 1, b_p.size))
+        B[0] = b_p
+        for k in range(m):
+            # BLAS trsv itself: solve_triangular's checks cost more than the
+            # solve at these sizes, and OpenBLAS runs its LAPACK trtrs on
+            # every thread, whose idle spinning then slows this one
+            B[k + 1] = scipy.linalg.blas.dtrsv(
+                self.lower, self.c - self.upper @ B[k], lower=1)
+        new, old = B[1:], B[:-1]
+        valid = (new * self.signs > 0.0).all(axis=1)
+        rho = self.kth_z[:, None] - self.M_new @ new.T - self.M_old @ old.T
+        valid &= (np.abs(rho) <= self.w_z[:, None]).all(axis=0)
+        n_valid = m if valid.all() else int(np.argmin(valid))
+        small = np.abs(new - old).max(axis=1)[:n_valid] < CD_STOP
+        if small.any():
+            k = int(np.argmax(small)) + 1
+            return B[k], k, True
+        return B[n_valid], n_valid, False
+
+
 def _cd_burst(kth, beta, w, active, M_aa, sweeps):
     """Cyclic coordinate descent on the weighted-l1 problem restricted to the
     active coordinates; every inactive coordinate stays at zero.  ``kth`` is
-    K^T h."""
+    K^T h.  Returns the new beta and the number of sweeps run: at most
+    ``sweeps``, fewer once a sweep's largest step is below CD_STOP.
+
+    The iterates are those of sweeping one coordinate at a time, up to
+    rounding.  Sweeps run one coordinate at a time until one changes no
+    sign and moves no coordinate to or from zero.  The following sweeps
+    then run as the Gauss-Seidel steps of ``_SignPattern``, in chunks of
+    CD_CHUNK, 2 CD_CHUNK, ... sweeps verified together.  The first invalid
+    sweep of a chunk runs one coordinate at a time again, and so does the
+    whole burst when a diagonal entry of M_aa is not positive.
+    """
+    kth, w = kth[active], w[active]
     b = beta[active]
-    # negative gradient of the smooth part on the active block
-    g = kth[active] - M_aa @ b
     diag = np.diag(M_aa).copy()
+    batched = bool(np.all(diag > 0))  # else every sweep stays scalar
     diag[diag <= 0] = 1.0
     cols = np.asfortranarray(M_aa)  # contiguous columns for the updates
-    b, d, thr = b.tolist(), diag.tolist(), (w[active] / diag).tolist()
-    for _ in range(sweeps):
-        delta_max = 0.0
-        for j in range(len(b)):
-            z = b[j] + g.item(j) / d[j]
-            s = abs(z) - thr[j]
-            s = s if s > 0.0 else 0.0
-            bj = s if z > 0 else -s if z < 0 else 0.0
-            step = bj - b[j]
-            if step != 0.0:
-                g -= cols[:, j] * step
-                b[j] = bj
-                delta_max = max(delta_max, abs(step))
-        if delta_max < 1e-14:
+    d, thr = diag.tolist(), (w / diag).tolist()
+    done, stopped = 0, False
+    while done < sweeps and not stopped:
+        # negative gradient of the smooth part on the active block
+        g = kth - M_aa @ b
+        b = b.tolist()
+        while done < sweeps and not stopped:
+            signs = np.sign(b)
+            done += 1
+            stopped = _cd_sweep(b, g, d, thr, cols) < CD_STOP
+            if batched and np.array_equal(np.sign(b), signs):
+                break
+        b = np.array(b)
+        if done == sweeps or stopped:
             break
+        # no sign changed: the following sweeps are Gauss-Seidel steps
+        pattern = _SignPattern(b, kth, w, M_aa)
+        chunk = CD_CHUNK
+        while done < sweeps and not stopped:
+            m = min(chunk, sweeps - done)
+            b_p, k, stopped = pattern.sweep(b[pattern.support], m)
+            b[pattern.support] = b_p
+            done += k
+            if k < m:
+                break  # sweep done + 1 changes a sign
+            chunk *= 2
     out = np.zeros(beta.shape[0])
     out[active] = b
-    return out
+    return out, done
 
 
 def _damped_step(res, Kd, beta, d, w, f0):
@@ -401,7 +499,7 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
         off = np.nonzero(~is_active & (beta != 0.0))[0]
         rhs = gamma * (cache.block(active, off) @ beta[off]) - r[active]
         f0 = 0.5 * float(res @ res) + float(np.abs(beta) @ w)
-        t = 0.0
+        t, cd_sweeps = 0.0, 0
         try:
             cho = scipy.linalg.cho_factor(gamma * M_aa)
             # d is the full Newton step: beta + d is zero off the active set
@@ -421,26 +519,28 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
             # the current support so the fallback cannot zero a live
             # coordinate and lose monotonicity
             cd_active = np.union1d(active, np.nonzero(beta)[0])
-            beta = _cd_burst(kth, beta, w, cd_active,
-                             cache.block(cd_active), CD_SWEEPS)
+            beta, cd_sweeps = _cd_burst(kth, beta, w, cd_active,
+                                        cache.block(cd_active), CD_SWEEPS)
             res = h - op.matvec(beta)
         g = op.matvec_transpose(res)
         iterations += 1
         history.append({"iter": iterations, "residual_inf": r_inf,
                         "active": int(active.size),
-                        "newton_step": bool(t > 0.0), "step_length": t})
+                        "newton_step": bool(t > 0.0), "step_length": t,
+                        "cd_sweeps": cd_sweeps})
     return beta, res, g, iterations, r_inf
 
 
 def _ssn_counters(history, cache):
     """Newton steps taken, those of them damped (step length below 1) and
-    rejected (coordinate-descent fallbacks), and the Gram cache's fetches
-    and columns."""
+    rejected (coordinate-descent fallbacks), the sweeps those fallbacks ran,
+    and the Gram cache's fetches and columns."""
     steps = [e["step_length"] for e in history if "step_length" in e]
     taken = sum(t > 0.0 for t in steps)
     return {"newton_accepted": taken,
             "newton_damped": sum(0.0 < t < 1.0 for t in steps),
             "newton_rejected": len(steps) - taken,
+            "cd_sweeps": sum(e.get("cd_sweeps", 0) for e in history),
             "gram_fetches": cache.fetches, "gram_columns": cache.size}
 
 

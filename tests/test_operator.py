@@ -224,6 +224,19 @@ class TestMatvec:
         v = rng.standard_normal(12)
         assert np.abs(op.matvec_transpose(v) - A.T @ v).max() <= 1e-14
 
+    def test_transpose_bitwise_equals_sparse_transpose(self, rng):
+        # the cached transposed CSR sums in the same order as matrix.T @ v,
+        # on the first call and on every later one
+        cloud, basis = make_setup(rng, 200)
+        op = compress(basis, MATERN, cloud, tau=1e-4)
+        stack = CompressedOperator.hstack((op, dense_op(
+            rng.standard_normal((200, 30)))))
+        for K in (op, stack):
+            for _ in range(2):
+                v = rng.standard_normal(200)
+                assert np.array_equal(K.matvec_transpose(v),
+                                      K.matrix.T @ v)
+
     def test_symmetric_operator_self_adjoint(self, rng):
         A = random_spd(20, rng)
         op = dense_op(A)

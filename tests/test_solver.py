@@ -12,6 +12,7 @@ from sampletbp import (CompressedOperator, KernelSpec, PointCloud,
                        SolverConfig, build_cluster_tree, build_samplet_basis,
                        compress, fista, ir_mrssn, mrssn, ridge_cg,
                        soft_shrinkage, solve_multi_kernel)
+from sampletbp import solver
 from sampletbp.solver import SolverError, _cd_burst, _GramCache
 
 
@@ -193,6 +194,27 @@ class TestMrssn:
             assert rep.extras["newton_damped"] <= rep.extras["newton_accepted"]
             damped += rep.extras["newton_damped"]
         assert damped > 0
+
+    def test_cd_sweeps_counter(self):
+        # mrssn takes Newton steps only on the easy instance; the
+        # ill-conditioned ones fall back to coordinate descent, at most
+        # CD_SWEEPS sweeps a fallback
+        cfg = SolverConfig(tol=1e-10)
+        A, h, w = easy_lasso(7)
+        extras = [mrssn(dense_op(A), h, w, config=cfg).extras]
+        assert extras[0]["newton_rejected"] == extras[0]["cd_sweeps"] == 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 41))
+            A = random_spd(n, rng, ridge=1e-3)
+            h = rng.standard_normal(n)
+            w = np.full(n, 0.05 * np.abs(A.T @ h).max())
+            extras += [solve(dense_op(A), h, w, config=cfg).extras
+                       for solve in (mrssn, ir_mrssn)]
+        for e in extras:
+            assert (e["cd_sweeps"] == 0) == (e["newton_rejected"] == 0)
+            assert e["cd_sweeps"] <= solver.CD_SWEEPS * e["newton_rejected"]
+        assert all(e["cd_sweeps"] > 0 for e in extras[1:])
 
     def test_fixed_point_for_scaled_gammas(self):
         A, h, w = easy_lasso(5)
@@ -408,13 +430,16 @@ class _CountingOp:
 
 
 def _cd_burst_reference(kth, beta, w, active, M_aa, sweeps):
-    """The coordinate-descent burst with numpy scalar arithmetic."""
+    """The coordinate-descent burst with numpy scalar arithmetic, one
+    coordinate at a time; returns beta and the number of sweeps run."""
     b = beta[active].copy()
     w_a = w[active]
     diag = np.diag(M_aa).copy()
     diag[diag <= 0] = 1.0
     g = kth[active] - M_aa @ b
+    done = 0
     for _ in range(sweeps):
+        done += 1
         delta_max = 0.0
         for j in range(b.size):
             z = b[j] + g[j] / diag[j]
@@ -428,7 +453,50 @@ def _cd_burst_reference(kth, beta, w, active, M_aa, sweeps):
             break
     out = np.zeros(beta.shape[0])
     out[active] = b
-    return out
+    return out, done
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """(chunk, valid sweeps, stopped) of every chunk of sign-preserving
+    sweeps the burst runs as Gauss-Seidel steps."""
+    log = []
+    inner = solver._SignPattern.sweep
+
+    def spy(self, b_p, m):
+        out = inner(self, b_p, m)
+        log.append((m, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(solver._SignPattern, "sweep", spy)
+    return log
+
+
+def _check_burst(kth, beta, w, active, M_aa, sweeps):
+    """The burst against the scalar reference: the same zero set, signs and
+    sweep count, values within 1e-10 max(1, ||ref||_inf), and an objective
+    on the block that does not rise."""
+    got, done = _cd_burst(kth, beta, w, active, M_aa, sweeps)
+    ref, ref_done = _cd_burst_reference(kth, beta, w, active, M_aa, sweeps)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert np.array_equal(np.sign(got), np.sign(ref))
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    assert done == ref_done
+    b0, b1 = beta[active], got[active]
+    assert _no_rise(_block_objective(kth[active], w[active], M_aa, b1),
+                    _block_objective(kth[active], w[active], M_aa, b0))
+    return got, done
+
+
+def _block_objective(kth, w, M, b):
+    """0.5 b.M b - kth.b + w.|b|: the objective minus 0.5 ||h||^2."""
+    return 0.5 * b @ M @ b - kth @ b + w @ np.abs(b)
+
+
+def _no_rise(f_new, f_old):
+    # near a fixed point, evaluating the objective rounds at 1e-16 relative,
+    # and the scalar reference's iterates show the same rises
+    return f_new <= f_old + 1e-14 * max(1.0, abs(f_old))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -443,10 +511,80 @@ def test_cd_burst_matches_reference(seed):
     active = np.sort(rng.choice(n, 25, replace=False))
     M_aa = M[np.ix_(active, active)]
     sweeps = (1, 50)[seed % 3 != 0]
-    got = _cd_burst(kth, beta, w, active, M_aa, sweeps)
-    ref = _cd_burst_reference(kth, beta, w, active, M_aa, sweeps)
-    assert np.array_equal(got, ref)
-    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    _check_burst(kth, beta, w, active, M_aa, sweeps)
+
+
+def _pair(rho, kth, w, beta):
+    """A two-coordinate burst on M = [[1, rho], [rho, 1]]."""
+    return (np.asarray(kth, dtype=float), np.asarray(beta, dtype=float),
+            np.full(2, w), np.arange(2), np.array([[1.0, rho], [rho, 1.0]]))
+
+
+def test_cd_burst_sign_change_within_a_chunk(sweep_log):
+    # the second coordinate drifts from -0.9 across zero: the first chunk
+    # of Gauss-Seidel steps is valid, the second breaks after 7 of 8, that
+    # sweep runs one coordinate at a time, and a new sign pattern finishes
+    _, done = _check_burst(*_pair(0.9, [0.2, 0.0], 0.1, [-0.5, -0.9]), 50)
+    assert sweep_log == [(4, 4, False), (8, 7, False), (4, 1, True)]
+    assert done == 16
+
+
+def test_cd_burst_sign_change_in_first_gauss_seidel_step(sweep_log):
+    # w = 0: no coordinate rests at zero, and the first Gauss-Seidel step
+    # already flips the second coordinate's sign, so the chunk keeps none
+    _check_burst(*_pair(0.9, [1.0, 0.5], 0.0, [1.0, 1.0]), 50)
+    assert sweep_log[0] == (4, 0, False)
+    assert sum(k for _, k, _ in sweep_log) > 0
+
+
+def test_cd_burst_zero_leaves_zero_within_a_chunk(sweep_log):
+    # the third coordinate rests at zero while the first two converge,
+    # until its gradient passes w in sweep 8, the third of a chunk of 8
+    M = np.array([[1.0, 0.85, 0.2], [0.85, 1.0, 0.0], [0.2, 0.0, 1.0]])
+    args = (np.array([0.9, 0.0, 0.4]), np.array([0.7, -0.8, 0.0]),
+            np.full(3, 0.1), np.arange(3), M)
+    got, _ = _check_burst(*args, 50)
+    assert sweep_log[:2] == [(4, 4, False), (8, 2, False)]
+    assert got[2] < 0.0
+
+
+def test_cd_burst_early_stop_in_gauss_seidel_steps(sweep_log):
+    # weak coupling: a chunk of Gauss-Seidel steps reaches the 1e-14 stop
+    _, done = _check_burst(*_pair(0.5, [1.0, 0.2], 0.01, [0.5, 0.5]), 50)
+    assert sweep_log[-1][2] and done < solver.CD_SWEEPS
+
+
+def test_cd_burst_zero_diagonal_stays_scalar(sweep_log):
+    # a zero column of K: as in the scalar code its coordinate shrinks by
+    # w per sweep, 30 sweeps from 0.3 to zero, and no sweep runs as a
+    # Gauss-Seidel step
+    M = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    args = (np.array([1.0, 0.2, 0.0]), np.array([0.5, 0.5, 0.3]),
+            np.full(3, 0.01), np.arange(3), M)
+    got, done = _check_burst(*args, 50)
+    assert sweep_log == []
+    assert got[2] == 0.0 and done == 31
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cd_burst_objective_never_rises(seed, sweep_log):
+    # ill-conditioned blocks, where the bursts change sign patterns and run
+    # long: the objective on the block never rises from sweep to sweep
+    rng = np.random.default_rng(100 + seed)
+    n = 30
+    A = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -3, n))
+    M = A.T @ A
+    kth = A.T @ rng.standard_normal(n)
+    beta = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    w = np.full(n, 0.02)
+    active = np.arange(n)
+    prev = beta
+    for sweeps in range(1, solver.CD_SWEEPS + 1, 7):
+        cur, _ = _check_burst(kth, beta, w, active, M, sweeps)
+        assert _no_rise(_block_objective(kth, w, M, cur),
+                        _block_objective(kth, w, M, prev))
+        prev = cur
+    assert any(k > 0 for _, k, _ in sweep_log)  # Gauss-Seidel steps ran
 
 
 class TestGramCache:
@@ -477,6 +615,8 @@ class TestGramCache:
         assert 0 < proxy.calls <= rep.iterations
         steps = rep.extras["newton_accepted"] + rep.extras["newton_rejected"]
         assert 0 < steps <= rep.iterations
+        assert rep.extras["newton_rejected"] <= rep.extras["cd_sweeps"] \
+            <= solver.CD_SWEEPS * rep.extras["newton_rejected"]
         # an accepted Newton step costs K d and K^T res; only the
         # coordinate-descent fallback recomputes the residual
         assert proxy.products <= 3 * rep.iterations
