@@ -183,11 +183,7 @@ def cmd_transform(args):
 
 def cmd_fit(args):
     cloud, values = ingest_labeled_csv(args.data, rescale=args.rescale)
-    specs = _resolve_kernels(args)
-    if len(specs) > 1:
-        raise KernelError("fit supports one kernel; use the library API for "
-                          "multi-kernel dictionaries")
-    spec = specs[0]
+    spec = _single_kernel(args)
     basis = _build_basis(cloud, args.q)
     op = compress(basis, spec, cloud, args.tau)
     solver = args.solver
@@ -228,7 +224,7 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    spec = _resolve_kernels(args)[0]
+    spec = _single_kernel(args)
     case = BenchmarkCase(generator=args.case, n=args.n, seed=args.seed,
                          noise_level=args.noise, kernel=spec, q=args.q)
     data = generate(case)
@@ -269,6 +265,15 @@ def _resolve_kernels(args):
         length = args.length if args.length is not None else specs[0].length
         specs[0] = KernelSpec(family, length=length)
     return specs
+
+
+def _single_kernel(args):
+    """The one kernel of a ``fit`` or ``bench`` run."""
+    specs = _resolve_kernels(args)
+    if len(specs) > 1:
+        raise KernelError(f"{args.command} supports one kernel; use the "
+                          "library API for multi-kernel dictionaries")
+    return specs[0]
 
 
 def build_parser():

@@ -146,6 +146,7 @@ class CompressedOperator:
     @staticmethod
     def from_dense(C, tau):
         """Threshold a dense matrix; diagonal entries are always kept."""
+        _check_threshold(tau)
         C = np.asarray(C, dtype=float)
         if not np.all(np.isfinite(C)):
             raise OperatorError("non-finite matrix entries")
@@ -196,22 +197,6 @@ class CompressedOperator:
             matrix=mat, threshold=max(op.threshold for op in ops),
             est_rel_frobenius_error=max(op.est_rel_frobenius_error
                                         for op in ops))
-
-
-def transform_two_sided(basis: SampletBasis, K):
-    """Dense T K T^T via two passes of the fast transform over columns.
-
-    Takes over K: each pass's input is released before the next pass, so
-    the peak stays at roughly three N x N arrays when the caller holds no
-    other reference to K.  The result is returned as the transposed view of
-    the second pass's output, which holds T K^T T^T.
-    """
-    B = basis.forward(K)  # T K
-    del K
-    Bt = np.ascontiguousarray(B.T)
-    del B
-    C = basis.forward(Bt)  # T (T K)^T
-    return C.T
 
 
 PANEL = 512  # kernel columns assembled and transformed at a time
@@ -269,6 +254,7 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     estimated peak, ``compress_peak_bytes``, exceeds the machine's physical
     memory: the N x N buffer plus the panels of every worker; the sparse
     result is left out."""
+    _check_threshold(tau)
     n = cloud.n
     if n > cap:
         raise BudgetError(f"kernel assembly capped at N = {cap}")
@@ -309,6 +295,12 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
     return CompressedOperator(matrix=matrix, threshold=float(tau),
                               est_rel_frobenius_error=float(est))
+
+
+def _check_threshold(tau):
+    # a NaN tau fails every comparison and would keep only the diagonal
+    if not tau >= 0:
+        raise OperatorError(f"threshold tau must be nonnegative, not {tau}")
 
 
 def _threshold_lower(X, lo, tau):

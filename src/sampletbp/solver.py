@@ -5,12 +5,15 @@ method, and its iteratively regularized continuation."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from . import operator
+from .geometry import BudgetError
 from .operator import CompressedOperator, estimate_lipschitz
 
 
@@ -24,6 +27,15 @@ CD_SWEEPS = 50  # coordinate-descent sweeps per rejected Newton step
 CD_STOP = 1e-14  # a burst ends after a sweep with no larger step
 CD_CHUNK = 4  # first chunk of sign-preserving sweeps verified together
 DAMP_STEPS = 8  # Newton step lengths 1, 1/2, ..., 2**-7 tried before CD
+# peak memory of a Newton solve whose Gram cache holds c columns in storage
+# of side s: 8 s^2 bytes for the storage plus NEWTON_COPIES float64 c x c
+# blocks.  The peak comes in a coordinate-descent fallback: beside the
+# storage it holds M_aa, the Cholesky factor, the swept block, its
+# column-major copy and two sign patterns, about nine blocks.  The rest
+# covers the sparse Gram fetch, the interpreter and the libraries, so that
+# for mrssn on spss and spms at N = 3000 and 4000 the estimate is at or
+# above the measured peak RSS of the whole process
+NEWTON_COPIES = 11
 
 
 @dataclass
@@ -33,15 +45,22 @@ class SolverConfig:
     lam: float = 0.0  # ridge regularization as lambda / N
     mu0: float = 1.05
     outer_steps: int = 250
-    active_set_cap: int = 20000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise SolverError("tol must be positive")
-        if self.mu0 <= 1:
-            raise SolverError("mu0 must exceed 1")
+        # comparisons that NaN fails, so NaN is rejected with the rest
+        if not 0 < self.tol < math.inf:
+            raise SolverError("tol must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise SolverError("lam must be nonnegative and finite")
+        if not 1 < self.mu0 < math.inf:
+            raise SolverError("mu0 must exceed 1 and be finite")
         if self.outer_steps < 0:
             raise SolverError("outer_steps must be nonnegative")
+        try:
+            math.pow(self.mu0, self.outer_steps)
+        except OverflowError:
+            raise SolverError("mu0 ** outer_steps, the first weight scale, "
+                              "overflows") from None
 
 
 @dataclass
@@ -108,8 +127,8 @@ def _finite_data(h_sigma):
 def _weights(w, n):
     """The weights broadcast to n coordinates, as a writable copy."""
     w = np.broadcast_to(np.asarray(w, dtype=float), (n,)).copy()
-    if np.any(w < 0):
-        raise SolverError("weights must be nonnegative")
+    if not np.all((0 <= w) & (w < np.inf)):
+        raise SolverError("weights must be nonnegative and finite")
     return w
 
 
@@ -141,8 +160,8 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = h.shape[0]
-    if lam < 0:
-        raise SolverError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise SolverError("lam must be nonnegative and finite")
 
     def apply_A(v):
         return op.matvec(v) + lam * v
@@ -161,7 +180,8 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
     rz = float(r @ z)
     nh = float(np.linalg.norm(h))
     if nh == 0.0:
-        return _finish("ridge_cg", op, h, x, 0.0, 0, 0.0, t0, basis)
+        return _finish("ridge_cg", op, h, x, 0.0, 0, 0.0, t0, basis,
+                       extras={"relative_residual": 0.0, "lam": float(lam)})
     history = []
     iterations = 0
     for k in range(10 * n):
@@ -279,7 +299,10 @@ class _GramCache:
     M depends on neither mu nor gamma, so one cache serves every Newton
     iteration and continuation stage of a solve.  Only unseen indices are
     fetched from the operator, one ``gram_submatrix(S, new)`` call each
-    time; the storage doubles when full.
+    time; the storage doubles when full, up to N columns.  A growth whose
+    estimated peak, the storage plus NEWTON_COPIES blocks over every cached
+    column, exceeds the machine's physical memory raises ``BudgetError``
+    before anything is allocated.
     """
 
     def __init__(self, op):
@@ -305,8 +328,17 @@ class _GramCache:
 
     def _add(self, new):
         lo, hi = self.size, self.size + new.size
-        if hi > self.M.shape[0]:
-            cap = max(hi, 2 * self.M.shape[0])
+        cap = self.M.shape[0]
+        if hi > cap:
+            cap = min(self.slot.size, max(hi, 2 * cap))
+        need = 8 * (cap * cap + NEWTON_COPIES * hi * hi)
+        have = operator.physical_memory()
+        if need > have:
+            raise BudgetError(
+                f"the Newton system over {hi} columns needs about "
+                f"{need / 2**30:.1f} GiB; physical memory is "
+                f"{have / 2**30:.1f} GiB")
+        if cap > self.M.shape[0]:
             M = np.empty((cap, cap))
             M[:lo, :lo] = self.M[:lo, :lo]
             self.M = M
@@ -457,10 +489,12 @@ def _damped_step(res, Kd, beta, d, w, f0):
     return 0.0
 
 
-def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
-                active_set_cap, history, cache, kth):
+def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
+                cache, kth):
     """Newton iterations from beta, whose data residual res = h - K beta and
-    gradient g = K^T res come in and go out with it; ``kth`` is K^T h."""
+    gradient g = K^T res come in and go out with it; ``kth`` is K^T h.
+    Adds the steps taken, damped and rejected and the fallback sweeps to
+    ``counts``."""
     n = op.shape[1]
     iterations = 0
     r_inf = np.inf
@@ -473,10 +507,6 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
             break
         is_active = np.abs(u) > gamma * w
         active = np.nonzero(is_active)[0]
-        if active.size > active_set_cap:
-            raise SolverError(
-                f"active set of size {active.size} exceeds the cap "
-                f"{active_set_cap}; the dense Newton system is infeasible")
         M_aa = cache.block(active)
         state.maybe_update(active, M_aa)
         if state.gamma != gamma:
@@ -487,19 +517,17 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
             is_active = np.abs(u) > gamma * w
             active = np.nonzero(is_active)[0]
             M_aa = cache.block(active)
+        iterations += 1
         if active.size == 0:
             # no coordinate may move; the fixed point is beta = 0
             beta, res, g = np.zeros(n), h, kth
-            iterations += 1
-            history.append({"iter": iterations, "residual_inf": r_inf,
-                            "active": 0})
             continue
         # r equals beta off the active set, so M_AI r_I = M[A, S] beta[S]
         # over S = supp(beta) \ A, whose columns the cache already holds
         off = np.nonzero(~is_active & (beta != 0.0))[0]
         rhs = gamma * (cache.block(active, off) @ beta[off]) - r[active]
         f0 = 0.5 * float(res @ res) + float(np.abs(beta) @ w)
-        t, cd_sweeps = 0.0, 0
+        t = 0.0
         try:
             cho = scipy.linalg.cho_factor(gamma * M_aa)
             # d is the full Newton step: beta + d is zero off the active set
@@ -512,6 +540,8 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
         if t > 0.0:
             beta = beta + t * d
             res = res - t * Kd
+            counts["newton_accepted"] += 1
+            counts["newton_damped"] += t < 1.0
         else:
             # near-singular system or no descent along the Newton direction:
             # fall back to descent sweeps on the active block, which never
@@ -519,99 +549,69 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton,
             # the current support so the fallback cannot zero a live
             # coordinate and lose monotonicity
             cd_active = np.union1d(active, np.nonzero(beta)[0])
-            beta, cd_sweeps = _cd_burst(kth, beta, w, cd_active,
-                                        cache.block(cd_active), CD_SWEEPS)
+            beta, sweeps = _cd_burst(kth, beta, w, cd_active,
+                                     cache.block(cd_active), CD_SWEEPS)
             res = h - op.matvec(beta)
+            counts["newton_rejected"] += 1
+            counts["cd_sweeps"] += sweeps
         g = op.matvec_transpose(res)
-        iterations += 1
-        history.append({"iter": iterations, "residual_inf": r_inf,
-                        "active": int(active.size),
-                        "newton_step": bool(t > 0.0), "step_length": t,
-                        "cd_sweeps": cd_sweeps})
     return beta, res, g, iterations, r_inf
-
-
-def _ssn_counters(history, cache):
-    """Newton steps taken, those of them damped (step length below 1) and
-    rejected (coordinate-descent fallbacks), the sweeps those fallbacks ran,
-    and the Gram cache's fetches and columns."""
-    steps = [e["step_length"] for e in history if "step_length" in e]
-    taken = sum(t > 0.0 for t in steps)
-    return {"newton_accepted": taken,
-            "newton_damped": sum(0.0 < t < 1.0 for t in steps),
-            "newton_rejected": len(steps) - taken,
-            "cd_sweeps": sum(e.get("cd_sweeps", 0) for e in history),
-            "gram_fetches": cache.fetches, "gram_columns": cache.size}
 
 
 def mrssn(op, h_sigma, w, config=None, basis=None):
     """Semi-smooth Newton iteration for the weighted-l1 fixed point problem,
-    started from zero."""
-    cfg = config or SolverConfig()
-    t0 = time.perf_counter()
-    h = _finite_data(h_sigma)
-    n = op.shape[1]
-    w = _weights(w, n)
-    state = _GammaState(op)
-    history = []
-    cache = _GramCache(op)
-    kth = op.matvec_transpose(h)
-    beta, _, _, iterations, r_inf = _mrssn_loop(
-        op, h, w, np.zeros(n), h, kth, state, cfg.tol, MAX_NEWTON,
-        cfg.active_set_cap, history, cache, kth)
-    return _finish("mrssn", op, h, beta, w, iterations, r_inf, t0, basis,
-                   history=history, extras={
-                       "gamma": state.gamma,
-                       "converged": bool(r_inf < cfg.tol),
-                       **_ssn_counters(history, cache)})
+    started from zero: ``ir_mrssn`` with no continuation stage, so one
+    solve at mu = 1 with the full Newton budget."""
+    return _newton_path("mrssn", op, h_sigma, w, config or SolverConfig(),
+                        basis, mu=1.0)
 
 
 def ir_mrssn(op, h_sigma, w, config=None, basis=None):
     """Continuation from zero over a geometrically decreasing weight scale
     mu, ending with a solve at mu = 1."""
     cfg = config or SolverConfig()
+    return _newton_path("ir_mrssn", op, h_sigma, w, cfg, basis,
+                        mu=cfg.mu0 ** cfg.outer_steps)
+
+
+def _newton_path(method, op, h_sigma, w, cfg, basis, mu):
+    """Newton stages from zero at the weight scales mu, mu / mu0, ..., down
+    to a final stage at mu = 1."""
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = op.shape[1]
     w = _weights(w, n)
     beta = np.zeros(n)
     state = _GammaState(op)
-    mu = cfg.mu0 ** cfg.outer_steps
     history = []
     total_iters = 0
-    outer = 0
-    r_inf = np.inf
+    counts = dict.fromkeys(("newton_accepted", "newton_damped",
+                            "newton_rejected", "cd_sweeps"), 0)
     # M = K^T K, K^T h and the residual of beta do not depend on mu: one
     # copy serves every stage
     cache = _GramCache(op)
     kth = op.matvec_transpose(h)
     res, g = h, kth
-    inner_all = []
     while True:
-        inner_hist = []
         # continuation stages only need to track the weight path; the full
         # Newton budget is reserved for the final stage at mu = 1
         cap = MAX_NEWTON if mu <= 1.0 else STAGE_NEWTON
-        try:
-            beta, res, g, iters, r_inf = _mrssn_loop(
-                op, h, mu * w, beta, res, g, state, cfg.tol, cap,
-                cfg.active_set_cap, inner_hist, cache, kth)
-        except SolverError as exc:
-            raise SolverError(f"outer step {outer} (mu={mu:.6g}): {exc}") from exc
+        beta, res, g, iters, r_inf = _mrssn_loop(
+            op, h, mu * w, beta, res, g, state, cfg.tol, cap, counts, cache,
+            kth)
         total_iters += iters
-        outer += 1
-        inner_all += inner_hist
-        history.append({"outer": outer, "mu": float(mu), "newton_iters": iters,
-                        "residual_inf": r_inf,
+        history.append({"outer": len(history) + 1, "mu": float(mu),
+                        "newton_iters": iters, "residual_inf": r_inf,
                         "active": int(np.count_nonzero(beta))})
         if mu <= 1.0:
             break
         mu = max(1.0, mu / cfg.mu0)
-    return _finish("ir_mrssn", op, h, beta, w, total_iters, r_inf, t0, basis,
+    return _finish(method, op, h, beta, w, total_iters, r_inf, t0, basis,
                    history=history,
-                   extras={"gamma": state.gamma, "outer_steps": outer,
+                   extras={"gamma": state.gamma, "outer_steps": len(history),
                            "converged": bool(r_inf < cfg.tol),
-                           **_ssn_counters(inner_all, cache)})
+                           "gram_fetches": cache.fetches,
+                           "gram_columns": cache.size, **counts})
 
 
 # solver name -> (op, h_sigma, w, cfg, basis) -> SolveReport; ridge ignores w,
@@ -624,10 +624,8 @@ SOLVERS = {
         op, h, w, config=cfg, basis=basis, mode="single"),
     "mrfista": lambda op, h, w, cfg, basis: fista(
         op, h, w, config=cfg, basis=basis, mode="mr"),
-    "mrssn": lambda op, h, w, cfg, basis: mrssn(
-        op, h, w, config=cfg, basis=basis),
-    "ir_mrssn": lambda op, h, w, cfg, basis: ir_mrssn(
-        op, h, w, config=cfg, basis=basis),
+    "mrssn": mrssn,
+    "ir_mrssn": ir_mrssn,
 }
 
 

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's own code paths: lasso problems
 are solved by plain coordinate descent on dense matrices, linear systems by
-dense factorizations, and field evaluations by naive double loops.
+dense factorizations, field evaluations by naive double loops, and the
+two-sided samplet transform by products with the explicit matrix T.
 """
 
 import numpy as np
@@ -14,6 +15,13 @@ from sampletbp import CompressedOperator
 def dense_op(A):
     """Wrap a dense matrix as an uncompressed operator (tau = 0)."""
     return CompressedOperator.from_dense(np.asarray(A, dtype=float), tau=0.0)
+
+
+def two_sided(basis, K):
+    """T K T^T by sparse-times-dense products with the matrix T of the
+    basis, not by its fast transform."""
+    T = basis.to_sparse()
+    return (T @ (T @ K).T).T
 
 
 def cd_lasso(A, h, w, tol=1e-12, max_iter=200000):

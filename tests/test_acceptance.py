@@ -16,12 +16,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from conftest import (cd_lasso, dense_op, kkt_violation, lasso_objective,
-                      random_spd)
+                      random_spd, two_sided)
 from sampletbp import (BenchmarkCase, KernelSpec, PointCloud, build_cluster_tree,
                        build_samplet_basis, generate, metrics)
 from sampletbp.kernel import assemble_dense, cross_matrix
-from sampletbp.operator import (CompressedOperator, compress,
-                                transform_two_sided)
+from sampletbp.operator import CompressedOperator, compress
 from sampletbp.samplet import moment_matrix, multi_indices
 from sampletbp.solver import (SolverConfig, fista, ir_mrssn, mrssn, ridge_cg,
                               solve_multi_kernel)
@@ -118,7 +117,7 @@ class TestCompressionBookkeeping:
         op = compress(basis, spec, cloud, tau=1e-4)
 
         K = assemble_dense(spec, cloud)
-        dense = transform_two_sided(basis, K)
+        dense = two_sided(basis, K)
         dense = 0.5 * (dense + dense.T)  # the compressed path symmetrizes
         mask = np.abs(dense) >= 1e-4
         np.fill_diagonal(mask, True)
@@ -146,7 +145,7 @@ class TestRidgeCorrectness:
         h = np.sin(4 * cloud.points[:, 0]) + rng.standard_normal(n) * 0.01
 
         # untruncated samplet-coordinate operator
-        op = CompressedOperator.from_dense(transform_two_sided(basis, K), 0.0)
+        op = CompressedOperator.from_dense(two_sided(basis, K), 0.0)
         h_sig = basis.forward(h)
         rep = ridge_cg(op, h_sig, lam, tol=1e-12, basis=basis)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_op
+from sampletbp import cli
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_SOLVER,
-                           EXIT_USAGE, ingest_labeled_csv, kernels_from_config,
-                           parse_config_file, run)
-from sampletbp.solver import SOLVERS
+                           EXIT_USAGE, build_parser, ingest_labeled_csv,
+                           kernels_from_config, parse_config_file, run)
+from sampletbp.solver import SOLVERS, SolverConfig
 
 
 def write_points(path, pts, values=None):
@@ -226,16 +229,88 @@ class TestBench:
         assert rc == EXIT_BUDGET
         assert not report.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--outer-steps", "-5"), ("--tol", "0"), ("--mu0", "1"),
-    ], ids=["outer-steps", "tol", "mu0"])
-    def test_bad_solver_setting_exit_code(self, tmp_path, flag, value):
+    def test_newton_memory_budget_exit_code(self, tmp_path, monkeypatch):
+        # memory enough for the build but not for the Newton system
+        build = cli.compress
+
+        def build_then_shrink(*args):
+            op = build(*args)
+            monkeypatch.setattr("sampletbp.operator.physical_memory",
+                                lambda: 2**16)
+            return op
+
+        monkeypatch.setattr(cli, "compress", build_then_shrink)
+        for solver in ("mrssn", "ir_mrssn"):
+            report = tmp_path / f"{solver}.json"
+            rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1",
+                      "--solver", solver, "--report", str(report),
+                      "--table", str(tmp_path / "t.csv")])
+            assert rc == EXIT_BUDGET
+            assert not report.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "-1e-4"], ids=["nan", "negative"])
+    def test_bad_threshold_exit_code(self, tmp_path, tau):
         report = tmp_path / "report.json"
-        rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1", flag,
-                  value, "--report", str(report),
+        rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1",
+                  f"--tau={tau}", "--report", str(report),
                   "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_INPUT
+        assert not report.exists()
+
+    def test_multi_kernel_config_rejected(self, tmp_path):
+        # bench, like fit, runs one kernel and does not drop the others
+        path = tmp_path / "run.cfg"
+        path.write_text("kernel.0.family=matern32\n"
+                        "kernel.1.family=exponential\n")
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "150", "--config",
+                  str(path), "--report", str(report),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_INPUT
+        assert not report.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--outer-steps", "-5"), ("--tol", "0"), ("--mu0", "1"),
+        ("--weight", "nan"), ("--weight", "inf"), ("--tol", "nan"),
+        ("--mu0", "nan"), ("--mu0", "1e10"), ("--outer-steps", "100000"),
+        ("--solver", "ridge", "--lambda", "nan"),
+        ("--solver", "ridge", "--lambda", "inf"),
+    ], ids=["outer-steps", "tol", "mu0", "weight-nan", "weight-inf",
+            "tol-nan", "mu0-nan", "mu0-overflow", "outer-steps-overflow",
+            "lambda-nan", "lambda-inf"])
+    def test_bad_solver_setting_exit_code(self, tmp_path, args):
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1", *args,
+                  "--report", str(report), "--table", str(tmp_path / "t.csv")])
         assert rc == EXIT_SOLVER
         assert not report.exists()
+
+
+# SolverConfig field -> the fit and bench flag that sets it, with a value
+# other than the default
+CONFIG_FLAGS = {"tol": ("--tol", "1e-5"), "max_iter": ("--max-iter", "77"),
+                "lam": ("--lambda", "0.5"), "mu0": ("--mu0", "1.5"),
+                "outer_steps": ("--outer-steps", "7")}
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "data.csv"], ["bench", "--case", "spss"],
+], ids=["fit", "bench"])
+def test_every_config_field_has_a_flag(monkeypatch, command):
+    # a SolverConfig field that no flag sets could only be set by tests
+    fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    assert set(CONFIG_FLAGS) == set(fields)
+    argv = [*command, "--solver", "mrssn"]
+    for flag, value in CONFIG_FLAGS.values():
+        argv += [flag, value]
+    seen = {}
+    monkeypatch.setitem(SOLVERS, "mrssn",
+                        lambda op, h, w, cfg, basis: seen.setdefault("cfg", cfg))
+    cli._solve(build_parser().parse_args(argv), "mrssn",
+               dense_op(np.eye(3)), np.ones(3), None)
+    for name, (flag, value) in CONFIG_FLAGS.items():
+        assert getattr(seen["cfg"], name) == type(fields[name])(value) \
+            != fields[name], flag
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))

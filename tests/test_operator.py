@@ -10,14 +10,13 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_op, random_spd
+from conftest import dense_op, random_spd, two_sided
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        PointCloud, assemble_dense, build_cluster_tree,
                        build_samplet_basis, compress, estimate_lipschitz)
 from sampletbp.kernel import cross_matrix
 from sampletbp.operator import (PANEL, PANEL_COPIES, OperatorError,
-                                compress_peak_bytes, panel_workers,
-                                transform_two_sided)
+                                compress_peak_bytes, panel_workers)
 
 
 MATERN = KernelSpec("matern32", length=0.25)
@@ -62,6 +61,15 @@ class TestFromDense:
         assert nnzs[0] >= nnzs[1] >= nnzs[2]
         assert errs[0] <= errs[1] <= errs[2]
 
+    @pytest.mark.parametrize("tau", [np.nan, -1e-4], ids=["nan", "negative"])
+    def test_bad_threshold_rejected(self, rng, tau):
+        # a NaN tau would fail every comparison and keep only the diagonal
+        with pytest.raises(OperatorError, match="tau"):
+            CompressedOperator.from_dense(np.eye(4), tau)
+        cloud, basis = make_setup(rng, 32)
+        with pytest.raises(OperatorError, match="tau"):
+            compress(basis, MATERN, cloud, tau)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(OperatorError):
             CompressedOperator.from_dense([[1.0, np.inf]], 0.0)
@@ -75,13 +83,6 @@ class TestCompress:
         dense_ref = Td @ K @ Td.T
         op = compress(basis, MATERN, cloud, tau=0.0)
         assert np.abs(op.to_dense() - dense_ref).max() <= 1e-12
-
-    def test_two_sided_transform(self, rng):
-        cloud, basis = make_setup(rng, 128)
-        K = assemble_dense(MATERN, cloud)
-        Td = basis.to_dense()
-        assert np.abs(transform_two_sided(basis, K) - Td @ K @ Td.T).max() \
-            <= 1e-12
 
     def test_diagonal_kept(self, rng):
         cloud, basis = make_setup(rng, 256)
@@ -209,7 +210,7 @@ class TestMatvec:
     def test_sparse_vs_dense_within_error_bound(self, rng):
         cloud, basis = make_setup(rng, 512)
         K = assemble_dense(MATERN, cloud)
-        dense_ref = transform_two_sided(basis, K)
+        dense_ref = two_sided(basis, K)
         dense_ref = 0.5 * (dense_ref + dense_ref.T)
         op = CompressedOperator.from_dense(dense_ref, tau=1e-4)
         v = rng.standard_normal(512)

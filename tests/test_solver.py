@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (cd_lasso, dense_op, kkt_violation, lasso_objective,
                       random_spd)
-from sampletbp import (CompressedOperator, KernelSpec, PointCloud,
+from sampletbp import (BudgetError, CompressedOperator, KernelSpec, PointCloud,
                        SolverConfig, build_cluster_tree, build_samplet_basis,
                        compress, fista, ir_mrssn, mrssn, ridge_cg,
                        soft_shrinkage, solve_multi_kernel)
@@ -83,6 +83,20 @@ class TestRidgeCG:
     def test_negative_curvature_reported(self, rng):
         with pytest.raises(SolverError, match="lam is too small"):
             ridge_cg(dense_op(-np.eye(5)), np.ones(5), lam=0.0)
+
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(SolverError, match="lam must be"):
+            ridge_cg(dense_op(np.eye(3)), np.ones(3), lam=lam)
+
+    def test_zero_data_reports_the_same_extras(self):
+        # the early return for h = 0 reports what a full solve reports
+        op = dense_op(np.eye(5))
+        rep = ridge_cg(op, np.zeros(5), lam=0.5)
+        full = ridge_cg(op, np.ones(5), lam=0.5)
+        assert rep.extras.keys() == full.extras.keys()
+        assert rep.extras == {"relative_residual": 0.0, "lam": 0.5}
+        assert not rep.beta.any()
 
     def test_transform_invariance(self, rng):
         # untruncated: the samplet-coordinate solution is T times the
@@ -171,11 +185,24 @@ class TestMrssn:
             assert abs(rep.objective - lasso_objective(A, h, b, w)) <= 1e-8
             assert kkt_violation(A, h, rep.beta, w) <= 1e-8
 
-    def test_active_set_cap(self, rng):
+    def test_newton_memory_limit(self, rng, monkeypatch):
+        # zero weights make all 30 columns active at once: the Gram cache
+        # storage plus NEWTON_COPIES blocks of 30 x 30 must fit in memory,
+        # and the refusal comes before the cache grows or anything is
+        # factored
         A = random_spd(30, rng, ridge=1.0)
         h = rng.standard_normal(30)
-        with pytest.raises(SolverError, match="cap"):
-            mrssn(dense_op(A), h, 0.0, config=SolverConfig(active_set_cap=5))
+        need = 8 * (1 + solver.NEWTON_COPIES) * 30 * 30
+        memory = "sampletbp.operator.physical_memory"
+        cfg = SolverConfig(tol=1e-10, outer_steps=1)
+        for solve in (mrssn, ir_mrssn):
+            monkeypatch.setattr(memory, lambda: need)
+            assert solve(dense_op(A), h, 0.0, config=cfg).extras["converged"]
+            monkeypatch.setattr(memory, lambda: need - 1)
+            with monkeypatch.context() as m:
+                m.setattr(solver.scipy.linalg, "cho_factor", None)
+                with pytest.raises(BudgetError, match="physical memory"):
+                    solve(dense_op(A), h, 0.0, config=cfg)
 
     def test_damped_steps_match_cd_oracle(self):
         # ill-conditioned instances: the full Newton step often goes uphill,
@@ -285,7 +312,9 @@ class TestIrMrssn:
                       mode="mr")
         assert abs(rep_ir.objective - rep_f.objective) <= 1e-6
 
-    @pytest.mark.parametrize("w", [-0.1], ids=["negative-weight"])
+    @pytest.mark.parametrize("w", [-0.1, np.nan, np.inf],
+                             ids=["negative-weight", "nan-weight",
+                                  "inf-weight"])
     def test_bad_weight_or_gamma_rejected(self, w):
         A, h, _ = easy_lasso(3)
         with pytest.raises(SolverError, match="must be"):
@@ -297,13 +326,6 @@ class TestIrMrssn:
         A, h, w = easy_lasso(3)
         with pytest.raises(SolverError, match="outer_steps"):
             ir_mrssn(dense_op(A), h, w, config=SolverConfig(outer_steps=-5))
-
-    def test_error_context(self, rng):
-        A = random_spd(30, rng, ridge=1.0)
-        h = rng.standard_normal(30)
-        with pytest.raises(SolverError, match="outer step"):
-            ir_mrssn(dense_op(A), h, 0.0, config=SolverConfig(
-                active_set_cap=5, outer_steps=1))
 
 
 class TestGradient:
@@ -599,6 +621,7 @@ class TestGramCache:
             ref = op.gram_submatrix(idx, idx)
             assert cache.block(idx).shape == ref.shape
             assert np.abs(cache.block(idx) - ref).max(initial=0.0) <= 1e-12
+            assert cache.M.shape[0] <= op.shape[1]  # doubling stops at N
         assert cache.size == len({i for idx in seq for i in idx})
 
     def test_each_column_fetched_once(self):
@@ -622,12 +645,14 @@ class TestGramCache:
         assert proxy.products <= 3 * rep.iterations
 
     def test_mrssn_counters_match_history(self):
+        # mrssn's history is its one stage; every iteration of this instance
+        # has a nonempty active set, so it takes a Newton step or falls back
         A, h, w = easy_lasso(7)
         rep = mrssn(dense_op(A), h, w, config=SolverConfig(tol=1e-10))
-        flags = [e["newton_step"] for e in rep.history if "newton_step" in e]
-        assert rep.extras["newton_accepted"] == sum(flags)
-        assert rep.extras["newton_rejected"] == len(flags) - sum(flags)
-        assert rep.extras["newton_damped"] == sum(
-            0.0 < e["step_length"] < 1.0 for e in rep.history
-            if "step_length" in e)
+        assert rep.extras["outer_steps"] == len(rep.history) == 1
+        assert rep.history[0]["mu"] == 1.0
+        assert rep.history[0]["newton_iters"] == rep.iterations
+        assert rep.extras["newton_accepted"] + rep.extras["newton_rejected"] \
+            == rep.iterations
+        assert rep.extras["newton_damped"] <= rep.extras["newton_accepted"]
         assert rep.extras["gram_columns"] <= len(h)
