@@ -1,6 +1,6 @@
-"""Kernel operators in samplet coordinates: streamed compression,
-thresholded sparse storage, matvecs, column Gram blocks, multi-kernel
-stacking, Lipschitz estimates."""
+"""Kernel operators in samplet coordinates: compression by recursion over
+the cluster tree, thresholded sparse storage, matvecs, column Gram blocks,
+multi-kernel stacking, Lipschitz estimates."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ class OperatorError(ValueError):
 _MAGIC = b"SMPK1"
 _HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
 THRESHOLD_CHUNK = 512  # rows of the dense matrix thresholded at a time
+GRAM_CHUNK = 256  # rows of a Gram block computed at a time
 
 
 @dataclass
@@ -88,10 +89,17 @@ class CompressedOperator:
         return self._columns()[:, idx]
 
     def gram_submatrix(self, rows_idx, cols_idx):
-        """Dense Gram block of selected columns: (a, b) -> col_a . col_b."""
-        A = self.cols_matrix(rows_idx)
-        B = self.cols_matrix(cols_idx)
-        return np.asarray((A.T @ B).todense())
+        """Dense Gram block of selected columns: (a, b) -> col_a . col_b.
+
+        Built GRAM_CHUNK rows at a time into the result, so that no sparse
+        copy of the whole block exists; a row's sums run in the same order
+        as in one product."""
+        At = self.cols_matrix(rows_idx).T  # CSR
+        B = self.cols_matrix(cols_idx).tocsr()  # as the product converts it
+        G = np.empty((At.shape[0], B.shape[1]))
+        for lo in range(0, G.shape[0], GRAM_CHUNK):
+            (At[lo:lo + GRAM_CHUNK] @ B).toarray(out=G[lo:lo + GRAM_CHUNK])
+        return G
 
     def to_dense(self):
         return self.matrix.toarray()
@@ -201,13 +209,14 @@ class CompressedOperator:
 
 PANEL = 512  # kernel columns assembled and transformed at a time
 STRIP = 64  # rows of a transformed panel stored transposed at a time
-# peak memory of the streamed build: the one N x N float64 buffer plus, for
-# each worker, PANEL_COPIES float64 N x PANEL panels.  A worker holds about
-# three at once (kernel panel, permuted copy and transform output); the
-# rest covers the interpreter and libraries, so that at N = 10^4 the
-# estimate is at or above the measured peak RSS of the whole process with
-# one, two or three workers
-PANEL_COPIES = 8
+# peak memory of the build: the root's ceil(N/2) x floor(N/2) float64
+# buffer plus, for each worker, PANEL_COPIES float64 ceil(N/2) x PANEL
+# panels.  A worker holds two at once (the kernel panel beside its profile
+# temporary or its transform); the rest covers the kept entries, the
+# interpreter and libraries, so that for cartoon at N = 6000 and spss at
+# N = 10^4 the estimate is at or above the measured peak RSS of the whole
+# process with one or two workers (one worker at N = 6000 needs 11)
+PANEL_COPIES = 12
 
 
 def physical_memory():
@@ -217,42 +226,56 @@ def physical_memory():
 
 def panel_workers(n):
     """Threads of ``compress`` at N = n: one per core this process may run
-    on, at most one per panel, and no more than physical memory holds
-    beside the N x N buffer; at least one."""
-    panels = -(-n // PANEL)
-    per_worker = 8 * n * PANEL_COPIES * min(PANEL, n)
-    fit = (physical_memory() - 8 * n * n) // per_worker
+    on, at most one per column panel of the root's passes, and no more than
+    physical memory holds beside the root's buffer; at least one."""
+    half = n - n // 2
+    panels = -(-half // PANEL)
+    per_worker = 8 * half * PANEL_COPIES * min(PANEL, n)
+    fit = (physical_memory() - 8 * half * (n // 2)) // per_worker
     return max(1, min(len(os.sched_getaffinity(0)), panels, fit))
 
 
 def compress_peak_bytes(n):
     """Estimated peak bytes of ``compress`` at N = n."""
-    return 8 * n * (n + panel_workers(n) * PANEL_COPIES * min(PANEL, n))
+    half = n - n // 2
+    return 8 * half * (n // 2 + panel_workers(n) * PANEL_COPIES
+                       * min(PANEL, n))
 
 
 def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     """Samplet-compressed kernel operator K^Sigma_eps: exact two-sided
-    transform, a-posteriori thresholding, streamed in two passes over
-    column panels so that one N x N buffer is alive.
+    transform C = T K T^T, a-posteriori thresholding, built by recursion
+    over the cluster tree.
 
-    Pass 1 assembles K[:, J] a panel J at a time and stores (T K[:, J])^T
-    as rows J of the buffer (T K)^T.  Pass 2 transforms the buffer's
-    columns J into rows J of C = T K T^T, keeps their lower triangle,
-    thresholds it at tau, always keeping the diagonal, and accumulates the
-    total and dropped squared mass with off-diagonal entries counted twice.
-    The kept strict lower triangle is mirrored into the upper one, so the
-    operator is exactly symmetric.
+    The transform of a node with children a and b is T_a (+) T_b followed
+    by the node's block Q, which mixes only the children's scaling rows.
+    So C at the node consists of the children's diagonal blocks, computed
+    by recursion, and D = T_a K_ab T_b^T, mixed only in those rows and
+    columns.  D is built in two passes over column panels into one |b| x
+    |a| buffer: pass 1 assembles K_ab a panel J of b's points at a time and
+    stores (T_a K_ab[:, J])^T as rows J of the buffer, pass 2 transforms
+    the buffer's columns I into D[I, :]^T.  A node with at most PANEL
+    points, or a leaf, transforms its kernel block on both sides at once.
+    Kernel entries are evaluated on the points in tree order, each block of
+    K once.
 
-    The panels of each pass run on a pool of ``panel_workers(n)`` threads,
-    one per available core (numpy, BLAS and cdist release the interpreter
-    lock); a single panel runs in the calling thread.  Pass 1 panels write
-    disjoint rows of the buffer, pass 2 panels only read it, and their
-    results are combined in panel order, so the operator and its error
-    estimate do not depend on the number of workers.
+    An entry of C between two samplets is final once it is computed, so it
+    is thresholded at tau then, always keeping the diagonal; the total and
+    dropped squared mass count off-diagonal entries twice.  Only the
+    scaling rows of each node travel up; at the root they are thresholded
+    too.  The kept entries are mirrored, so the operator is exactly
+    symmetric.
+
+    The panels of each pass run on a pool of ``panel_workers(n)`` threads
+    (numpy, BLAS and cdist release the interpreter lock); a single panel
+    runs in the calling thread.  Pass 1 panels write disjoint rows of the
+    buffer, pass 2 panels only read it, and all results are combined in a
+    fixed order, so the operator and its error estimate do not depend on
+    the number of workers.
 
     Raises ``BudgetError`` above N = cap, and before allocating when the
     estimated peak, ``compress_peak_bytes``, exceeds the machine's physical
-    memory: the N x N buffer plus the panels of every worker; the sparse
+    memory: the root's buffer plus the panels of every worker; the sparse
     result is left out."""
     _check_threshold(tau)
     n = cloud.n
@@ -264,37 +287,104 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
         raise BudgetError(
             f"compression at N = {n} needs about {need / 2**30:.1f} GiB; "
             f"physical memory is {have / 2**30:.1f} GiB")
-    pts = cloud.points
-    Bt = np.empty((n, n))
-
-    def transform_panel(J):
-        TK = basis.forward(cross_matrix(spec, pts, pts[J]))
-        # the transposing store in strips: a source strip and its target
-        # stay in cache, where one store of the whole panel does not
-        for lo in range(0, n, STRIP):
-            Bt[J, lo:lo + STRIP] = TK[lo:lo + STRIP].T
-
-    def threshold_panel(J):
-        # C^T[:hi, J], which is C[J, :hi]^T up to rounding
-        return _threshold_lower(basis.forward(Bt[:, J])[:J.stop], J.start,
-                                tau)
-
-    panels = [slice(lo, min(lo + PANEL, n)) for lo in range(0, n, PANEL)]
-    if len(panels) == 1:
-        transform_panel(panels[0])
-        parts = [threshold_panel(panels[0])]
-    else:
-        with ThreadPoolExecutor(panel_workers(n)) as pool:
-            list(pool.map(transform_panel, panels))
-            parts = list(pool.map(threshold_panel, panels))
-    del Bt  # the sparse assembly below runs without the N x N buffer
-    total, dropped, counts, cols, vals = zip(*parts)  # in panel order
-    total_sq, dropped_sq = sum(total), sum(dropped)
-    matrix = _mirror_lower(n, np.concatenate(counts), np.concatenate(cols),
-                           np.concatenate(vals))
+    with ThreadPoolExecutor(panel_workers(n)) as pool:
+        build = _Build(basis, spec, cloud.points[basis.tree.permutation], tau,
+                       pool.map)
+        build.node(basis.root_block, root=True)
+    # sums and kept entries in a fixed order; _mirror frees the entries
+    total_sq = sum(part[0] for part in build.parts)
+    dropped_sq = sum(part[1] for part in build.parts)
+    kept = [part[2:] for part in build.parts]
+    del build
+    matrix = _mirror(n, kept)
     est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
     return CompressedOperator(matrix=matrix, threshold=float(tau),
                               est_rel_frobenius_error=float(est))
+
+
+class _Build:
+    """State of one ``compress`` call: its inputs, with the points in tree
+    order, the thread pool's ``map`` and the thresholded parts of C, in the
+    order they are made."""
+
+    def __init__(self, basis, spec, points, tau, pool_map):
+        self.basis, self.spec, self.points, self.tau = basis, spec, points, tau
+        self.map = pool_map
+        self.parts = []
+
+    def node(self, blk, root=False):
+        """Threshold the entries of C between samplets of blk's subtree, or
+        all of them at the root, and return C_blk's scaling rows in blk's
+        local order."""
+        basis = self.basis
+        if blk.node.size <= PANEL or not blk.children:
+            pts = self.points[blk.node.lo : blk.node.hi]
+            C = basis.transform_subtree(  # all of C_blk
+                blk, basis.transform_subtree(
+                    blk, cross_matrix(self.spec, pts, pts)).T)
+        else:
+            C = self._split(blk, self.node(blk.children[0]),
+                            self.node(blk.children[1]))
+        m = blk.m_scal
+        k = 0 if root else m  # the first row and column thresholded here
+        glob = basis.local_order if root else blk.glob
+        self.parts.append(_threshold(C[k:, k:], glob[:C.shape[0] - k],
+                                     glob, self.tau, diagonal=True))
+        return C[:m].copy()
+
+    def _split(self, blk, S_a, S_b):
+        """Rows [scaling, own samplets] of C_blk in blk's local order, from
+        the children's scaling rows S_a and S_b; thresholds the entries of
+        D between samplets of the two children."""
+        a, b = blk.children
+        ma, mb = a.m_scal, b.m_scal
+        sa, sb = a.node.size, b.node.size
+        pts_a = self.points[a.node.lo : a.node.hi]
+        pts_b = self.points[b.node.lo : b.node.hi]
+        Bt = np.empty((sb, sa))  # D^T before T_b
+        basis, spec, tau = self.basis, self.spec, self.tau
+
+        def transform_panel(J):
+            TK = basis.transform_subtree(a, cross_matrix(spec, pts_a,
+                                                         pts_b[J]))
+            # the transposing store in strips: a source strip and its
+            # target stay in cache, where one store of the whole panel
+            # does not
+            for lo in range(0, sa, STRIP):
+                Bt[J, lo:lo + STRIP] = TK[lo:lo + STRIP].T
+
+        def threshold_panel(I):
+            X = basis.transform_subtree(b, Bt[:, I])  # D[I, :]^T
+            scal_cols = X[:mb].copy()  # D[I, :mb]^T
+            scal_rows = X[:, :max(ma - I.start, 0)].copy()  # D[:ma, :]^T
+            lo = max(I.start, ma)
+            part = _threshold(X[mb:, lo - I.start:], b.glob,
+                              a.glob[lo - ma:I.stop - ma], tau)
+            return part, scal_cols, scal_rows
+
+        self._run(transform_panel, sb)
+        results = self._run(threshold_panel, sa)
+        del Bt
+        parts, scal_cols, scal_rows = zip(*results)
+        self.parts.extend(parts)
+        # the children's scaling rows of C before blk's block Q, in the
+        # order of T_a (+) T_b
+        Z = np.empty((ma + mb, sa + sb))
+        Z[:ma, :sa] = S_a
+        Z[:ma, sa:] = np.concatenate(scal_rows, axis=1).T
+        Z[ma:, :sa] = np.concatenate(scal_cols, axis=1)
+        Z[ma:, sa:] = S_b
+        Y = blk.Q.T @ Z
+        W = Y[:, np.r_[:ma, sa:sa + mb]] @ blk.Q
+        return np.concatenate([W, Y[:, ma:sa], Y[:, sa + mb:]], axis=1)
+
+    def _run(self, fn, size):
+        """fn over the column panels of range(size), results in order."""
+        panels = [slice(lo, min(lo + PANEL, size))
+                  for lo in range(0, size, PANEL)]
+        if len(panels) == 1:
+            return [fn(panels[0])]
+        return list(self.map(fn, panels))
 
 
 def _check_threshold(tau):
@@ -303,59 +393,68 @@ def _check_threshold(tau):
         raise OperatorError(f"threshold tau must be nonnegative, not {tau}")
 
 
-def _threshold_lower(X, lo, tau):
-    """Threshold rows lo:lo + h of the lower triangle of a symmetric matrix
-    C, given as X = C[lo:lo + h, :lo + h]^T, and overwrite X.
+def _threshold(X, rows, cols, tau, diagonal=False):
+    """Threshold the block X = C[rows][:, cols] of a symmetric matrix C and
+    overwrite X.  The rows are none of the block's columns, or with
+    ``diagonal`` its leading columns, whose entries above C's diagonal are
+    left to their mirror images.
 
     Keeps the entries with |C| >= tau and the diagonal.  Returns the total
-    and the dropped squared mass of the rows' share of C (off-diagonal
-    entries counted twice), the kept count of each row and the kept columns
-    and values in row-major order."""
+    and the dropped squared mass of the block's share of C (off-diagonal
+    entries counted twice) and the rows, columns and values kept."""
     if not np.all(np.isfinite(X)):
         raise OperatorError("non-finite matrix entries")
-    h = X.shape[1]
-    upper = np.tril(np.ones((h, h), dtype=bool), -1)  # column of C > row
-    X[lo:][upper] = 0.0
     keep = X >= tau
     keep |= X <= -tau
-    keep[lo:] &= ~upper  # only for tau <= 0 can a zero pass
-    diag = (np.arange(lo, lo + h), np.arange(h))
-    keep[diag] = True
-    d = X[diag]
-    total = 2.0 * float(np.vdot(X, X)) - float(d @ d)
-    c, r = np.nonzero(keep)
-    order = np.argsort(r, kind="stable")  # by row, then column
-    r, c = r[order], c[order]
-    vals = X[c, r]
+    d = 0.0
+    if diagonal:
+        h = X.shape[0]
+        upper = rows[:, None] < rows  # above C's diagonal
+        X[:, :h][upper] = 0.0
+        keep[:, :h] &= ~upper  # only for tau <= 0 can a zero pass
+        diag = (np.arange(h), np.arange(h))
+        keep[diag] = True
+        d = X[diag]
+        d = float(d @ d)
+    total = 2.0 * float(np.einsum("ij,ij->", X, X)) - d
+    r, c = np.nonzero(keep)
+    vals = X[r, c]
     # the dropped mass is summed directly: total minus kept would cancel
-    X[c, r] = 0.0
-    dropped = 2.0 * float(np.vdot(X, X))
-    return total, dropped, np.bincount(r, minlength=h), c, vals
+    X[r, c] = 0.0
+    dropped = 2.0 * float(np.einsum("ij,ij->", X, X))
+    return total, dropped, rows[r], cols[c], vals
 
 
-def _mirror_lower(n, counts, cols, vals):
-    """Symmetric CSR matrix from its lower triangle, given row by row with
-    sorted columns and the diagonal last: row i is L[i, :i + 1] followed by
-    L[i + 1:, i]."""
-    lptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=lptr[1:])
-    strict = np.ones(cols.size, dtype=bool)
-    strict[lptr[1:] - 1] = False
-    # the strict lower triangle by columns is the strict upper one by rows
-    upper = scipy.sparse.csr_matrix(
-        (vals[strict], cols[strict], lptr - np.arange(n + 1)),
-        shape=(n, n)).tocsc()
-    uptr = upper.indptr.astype(np.int64)
-    indptr = lptr + uptr
-    indices = np.empty(indptr[-1], dtype=np.int64)
+def _mirror(n, parts):
+    """Exactly symmetric canonical CSR matrix from kept entries (rows,
+    cols, vals), one of each mirrored pair and the diagonal.  The parts are
+    emptied as they are copied into the preallocated result."""
+    counts = np.zeros(n, dtype=np.int64)
+    for rows, cols, _ in parts:
+        counts += np.bincount(rows, minlength=n)
+        counts += np.bincount(cols[rows != cols], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # the index type scipy would choose, so that it keeps these arrays
+    big = indptr[-1] > np.iinfo(np.int32).max
+    indices = np.empty(indptr[-1], dtype=np.int64 if big else np.int32)
     data = np.empty(indptr[-1])
-    lower_at = np.arange(cols.size) + np.repeat(uptr[:-1], counts)
-    upper_at = np.arange(upper.nnz) + np.repeat(lptr[1:], np.diff(uptr))
-    indices[lower_at] = cols
-    data[lower_at] = vals
-    indices[upper_at] = upper.indices
-    data[upper_at] = upper.data
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    free = indptr[:-1].copy()  # the next free slot of each row
+    while parts:
+        rows, cols, vals = parts.pop(0)
+        off = rows != cols
+        for r, c, v in ((rows, cols, vals), (cols[off], rows[off], vals[off])):
+            order = np.argsort(r, kind="stable")
+            r = r[order]
+            count = np.bincount(r, minlength=n)
+            first = np.cumsum(count) - count  # of each row's run in r
+            at = free[r] + np.arange(r.size) - first[r]
+            indices[at] = c[order]
+            data[at] = v[order]
+            free += count
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.sort_indices()
+    return matrix
 
 
 # power iteration of estimate_lipschitz: relative stopping tolerance,

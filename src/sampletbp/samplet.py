@@ -86,6 +86,8 @@ class _Block:
     children: tuple
     out_start: int = -1  # global index of first samplet output
     n_samplets: int = 0
+    pre: int = -1  # row of the first samplet output in the root's local order
+    glob: np.ndarray = None  # type: ignore  # local row m_scal + j -> global
     sam_vectors: np.ndarray = None  # type: ignore  # (node.size, n_samplets)
     sam_l1: np.ndarray = None  # type: ignore
 
@@ -100,6 +102,7 @@ class SampletBasis:
     n_root_scaling: int
     root_scaling_vectors: np.ndarray  # (N, n_root_scaling), tree order
     levels: np.ndarray  # global output index -> level (root scaling = 0)
+    local_order: np.ndarray  # the root's local order -> global output index
 
     @property
     def n(self):
@@ -114,21 +117,31 @@ class SampletBasis:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise SampletError("length mismatch in forward transform")
-        w = v[self.tree.permutation]
-        out = np.empty_like(w)
-        scal = self._fwd(self.root_block, w, out)
-        out[: self.n_root_scaling] = scal
+        y = self.transform_subtree(self.root_block, v[self.tree.permutation])
+        out = np.empty_like(y)
+        out[self.local_order] = y
         return out
 
-    def _fwd(self, blk, w, out):
+    def transform_subtree(self, blk, x):
+        """Apply the samplet transform of blk's subtree to x, whose rows are
+        the points of blk's node in tree order.  The result's rows are in
+        the subtree's local order: blk.m_scal scaling rows, the node's own
+        samplets, then the samplets of its children's subtrees, depth first;
+        row blk.m_scal + j is global output blk.glob[j]."""
+        out = np.empty(x.shape)
+        out[: blk.m_scal] = self._fwd(blk, x, out, blk.node.lo,
+                                      blk.m_scal - blk.pre)
+        return out
+
+    def _fwd(self, blk, x, out, lo, shift):
         if not blk.children:
-            x = w[blk.node.lo : blk.node.hi]
+            y = blk.Q.T @ x[blk.node.lo - lo : blk.node.hi - lo]
         else:
-            parts = [self._fwd(c, w, out) for c in blk.children]
-            x = np.concatenate(parts, axis=0)
-        y = blk.Q.T @ x
+            parts = [self._fwd(c, x, out, lo, shift) for c in blk.children]
+            y = blk.Q.T @ np.concatenate(parts, axis=0)
         if blk.n_samplets:
-            out[blk.out_start : blk.out_start + blk.n_samplets] = y[blk.m_scal :]
+            at = shift + blk.pre
+            out[at : at + blk.n_samplets] = y[blk.m_scal :]
         return y[: blk.m_scal]
 
     def inverse(self, w):
@@ -269,12 +282,27 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
             pos += blk.n_samplets
     if pos != tree.n:
         raise SampletError("output count does not match N")
+    # depth-first local order: a subtree's samplets are one run of it
+    local_order = np.empty(tree.n, dtype=np.int64)
+    local_order[:n_root_scaling] = np.arange(n_root_scaling)
+    pos = n_root_scaling
+    stack = [root_blk]
+    while stack:
+        blk = stack.pop()
+        blk.pre = pos
+        local_order[pos : pos + blk.n_samplets] = np.arange(
+            blk.out_start, blk.out_start + blk.n_samplets)
+        pos += blk.n_samplets
+        stack.extend(reversed(blk.children))
+    for blk in blocks_bfs:
+        blk.glob = local_order[blk.pre : blk.pre + blk.node.size - blk.m_scal]
     for blk in blocks_bfs:
         del blk._V_scal
 
     return SampletBasis(tree=tree, q=q, m_q=m_q, root_block=root_blk,
                         blocks_bfs=blocks_bfs, n_root_scaling=n_root_scaling,
-                        root_scaling_vectors=root_scaling_vectors, levels=levels)
+                        root_scaling_vectors=root_scaling_vectors, levels=levels,
+                        local_order=local_order)
 
 
 def coefficient_l1_profile(basis: SampletBasis):

@@ -30,12 +30,12 @@ DAMP_STEPS = 8  # Newton step lengths 1, 1/2, ..., 2**-7 tried before CD
 # peak memory of a Newton solve whose Gram cache holds c columns in storage
 # of side s: 8 s^2 bytes for the storage plus NEWTON_COPIES float64 c x c
 # blocks.  The peak comes in a coordinate-descent fallback: beside the
-# storage it holds M_aa, the Cholesky factor, the swept block, its
-# column-major copy and two sign patterns, about nine blocks.  The rest
-# covers the sparse Gram fetch, the interpreter and the libraries, so that
-# for mrssn on spss and spms at N = 3000 and 4000 the estimate is at or
-# above the measured peak RSS of the whole process
-NEWTON_COPIES = 11
+# storage it holds the swept block, its column-major copy and one sign
+# pattern, about five blocks.  The rest covers the interpreter and the
+# libraries, so that for mrssn on spss and spms at N = 2000 to 4000 the
+# estimate is at or above the measured peak RSS of the whole process (7.9
+# blocks at most)
+NEWTON_COPIES = 9
 
 
 @dataclass
@@ -460,7 +460,9 @@ def _cd_burst(kth, beta, w, active, M_aa, sweeps):
         b = np.array(b)
         if done == sweeps or stopped:
             break
-        # no sign changed: the following sweeps are Gauss-Seidel steps
+        # no sign changed: the following sweeps are Gauss-Seidel steps.
+        # the last pattern is dropped before the next one is built
+        pattern = None
         pattern = _SignPattern(b, kth, w, M_aa)
         chunk = CD_CHUNK
         while done < sweeps and not stopped:
@@ -547,7 +549,9 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
             # fall back to descent sweeps on the active block, which never
             # increase the objective.  the sweep block is widened to cover
             # the current support so the fallback cannot zero a live
-            # coordinate and lose monotonicity
+            # coordinate and lose monotonicity.  The rejected step's blocks
+            # are dropped first: the fallback is the solve's memory peak
+            M_aa = cho = None
             cd_active = np.union1d(active, np.nonzero(beta)[0])
             beta, sweeps = _cd_burst(kth, beta, w, cd_active,
                                      cache.block(cd_active), CD_SWEEPS)

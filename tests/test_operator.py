@@ -2,6 +2,7 @@ import os
 import struct
 import tempfile
 import threading
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -22,11 +23,31 @@ from sampletbp.operator import (PANEL, PANEL_COPIES, OperatorError,
 MATERN = KernelSpec("matern32", length=0.25)
 
 
-def make_setup(rng, n, d=2, q=1):
+def make_setup(rng, n, d=2, q=1, leaf_capacity=None):
     cloud = PointCloud(rng.uniform(-0.5, 0.5, (n, d)))
     m_q = comb(q + d, d)
-    tree = build_cluster_tree(cloud, 2 * m_q)
+    tree = build_cluster_tree(cloud, leaf_capacity or 2 * m_q)
     return cloud, build_samplet_basis(tree, cloud, q)
+
+
+def check_against_dense_oracle(cloud, basis):
+    """compress at tau 0 and 1e-4 against T K T^T from the dense matrices."""
+    K = assemble_dense(MATERN, cloud)
+    Td = basis.to_dense()
+    dense = Td @ K @ Td.T
+    op = compress(basis, MATERN, cloud, tau=0.0)
+    assert np.abs(op.to_dense() - dense).max() <= 1e-12
+    tau = 1e-4
+    op = compress(basis, MATERN, cloud, tau=tau)
+    assert (op.matrix != op.matrix.T).nnz == 0
+    assert op.matrix.has_canonical_format
+    assert np.all(op.diagonal() != 0.0)
+    sym = 0.5 * (dense + dense.T)
+    mask = np.abs(sym) >= tau
+    np.fill_diagonal(mask, True)
+    dropped = sym[~mask]
+    oracle = np.sqrt(float(dropped @ dropped) / float(np.sum(sym ** 2)))
+    assert abs(op.est_rel_frobenius_error - oracle) <= 1e-12
 
 
 class TestFromDense:
@@ -103,23 +124,33 @@ class TestCompress:
     def test_streamed_matches_dense_oracle(self, rng):
         # several panels, the last one ragged
         n = 2 * PANEL + 37
-        cloud, basis = make_setup(rng, n)
-        K = assemble_dense(MATERN, cloud)
-        Td = basis.to_dense()
-        dense = Td @ K @ Td.T
-        op = compress(basis, MATERN, cloud, tau=0.0)
-        assert np.abs(op.to_dense() - dense).max() <= 1e-12
-        tau = 1e-4
-        op = compress(basis, MATERN, cloud, tau=tau)
-        assert (op.matrix != op.matrix.T).nnz == 0
-        assert op.matrix.has_canonical_format
-        assert np.all(op.diagonal() != 0.0)
-        sym = 0.5 * (dense + dense.T)
-        mask = np.abs(sym) >= tau
-        np.fill_diagonal(mask, True)
-        dropped = sym[~mask]
-        oracle = np.sqrt(float(dropped @ dropped) / float(np.sum(sym ** 2)))
-        assert abs(op.est_rel_frobenius_error - oracle) <= 1e-12
+        check_against_dense_oracle(*make_setup(rng, n))
+
+    @pytest.mark.parametrize("n, q, leaf_capacity", [
+        (2 * PANEL + 1, 1, None),  # children of 513 points, split, and 512
+        # leaves of 20 points and, a level deeper, of 11 and 10 points,
+        # which have no samplets
+        (656, 3, 20),
+    ], ids=["uneven-children", "leaf-depths"])
+    def test_recursion_matches_dense_oracle(self, rng, n, q, leaf_capacity):
+        check_against_dense_oracle(*make_setup(rng, n, q=q,
+                                               leaf_capacity=leaf_capacity))
+
+    def test_peak_memory_below_dense(self, rng, monkeypatch):
+        # the largest buffer is the root's N/2 x N/2 block, not N x N.  At
+        # this N a worker's panel is a quarter of N^2 too, so one worker;
+        # q = 3 as in the benchmarks, where the kept entries are 14 % of N^2
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n, q=3)
+        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 1)
+        tracemalloc.start()
+        try:
+            compress(basis, MATERN, cloud, tau=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        assert peak <= compress_peak_bytes(n)
 
     def test_parallel_matches_serial(self, rng, monkeypatch):
         # three panels: the operator does not depend on the worker count
@@ -140,7 +171,10 @@ class TestCompress:
     def test_worker_failure_propagates(self, rng, monkeypatch):
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n)
-        second = cloud.points[PANEL:2 * PANEL]
+        # the second column panel of the root's first pass: the kernel is
+        # evaluated on the points in tree order, columns from the right child
+        right = basis.tree.root.children[1]
+        second = cloud.points[basis.tree.permutation][right.lo + PANEL:right.hi]
 
         def failing(spec, xs, ys):
             if np.array_equal(ys, second):
@@ -166,17 +200,18 @@ class TestCompress:
         assert threading.active_count() == threads
 
     def test_worker_count(self, monkeypatch):
-        n = 4 * PANEL
+        n = 8 * PANEL  # the root's passes run over 4 panels of N/2 points
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr("sampletbp.operator.physical_memory",
                             lambda: 2**40)
         assert panel_workers(n) == 4  # one per panel
         assert panel_workers(PANEL) == 1
-        per_worker = 8 * n * PANEL_COPIES * PANEL
+        half = n // 2
+        per_worker = 8 * half * PANEL_COPIES * PANEL
         monkeypatch.setattr("sampletbp.operator.physical_memory",
-                            lambda: 8 * n * n + 2 * per_worker + 1)
+                            lambda: 8 * half * half + 2 * per_worker + 1)
         assert panel_workers(n) == 2  # as many as memory holds
-        assert compress_peak_bytes(n) == 8 * n * n + 2 * per_worker
+        assert compress_peak_bytes(n) == 8 * half * half + 2 * per_worker
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         assert panel_workers(n) == 1
 
@@ -272,6 +307,17 @@ class TestGram:
         op = dense_op(np.eye(4))
         with pytest.raises(OperatorError):
             op.gram_submatrix([0, 4], [0])
+
+    def test_chunks_equal_one_product(self, rng, monkeypatch):
+        # row chunks, the last one ragged, sum each entry as one product does
+        cloud, basis = make_setup(rng, 300)
+        op = compress(basis, MATERN, cloud, tau=1e-4)
+        rows = rng.choice(300, 40, replace=False)
+        cols = rng.choice(300, 25, replace=False)
+        A, B = op.cols_matrix(rows), op.cols_matrix(cols)
+        whole = np.asarray((A.T @ B).todense())
+        monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK", 7)
+        assert np.array_equal(op.gram_submatrix(rows, cols), whole)
 
 
 class TestLipschitz:

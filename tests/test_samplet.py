@@ -140,6 +140,21 @@ class TestTransforms:
         for j in range(5):
             assert np.abs(W[:, j] - basis.forward(V[:, j])).max() <= 1e-14
 
+    def test_subtree_transform_rows_are_global_rows(self, rng):
+        # below its scaling rows, a subtree's local order lists global
+        # samplets, which live on the subtree's points only
+        _, basis = make_basis(rng.uniform(-1, 1, (300, 2)), 2)
+        T = basis.to_dense()
+        perm = basis.tree.permutation
+        root = basis.root_block
+        for blk in (root, root.children[1], root.children[0].children[1]):
+            lo, hi = blk.node.lo, blk.node.hi
+            x = rng.standard_normal((hi - lo, 3))
+            y = basis.transform_subtree(blk, x)
+            ref = T[np.ix_(blk.glob, perm[lo:hi])] @ x
+            assert np.abs(y[blk.m_scal:] - ref).max() <= 1e-12
+        assert np.array_equal(root.glob, basis.local_order[root.m_scal:])
+
     def test_length_mismatch(self, rng):
         from sampletbp.samplet import SampletError
         _, basis = make_basis(rng.uniform(-1, 1, (50, 2)), 1)
