@@ -19,7 +19,7 @@ GENERATORS = ("spss", "spms", "cartoon")
 # a ridge coefficient below this share of the largest one does not count
 # towards beta_nnz
 RIDGE_DROP_REL = 1e-4
-GRID_CHUNK = 2048  # grid points evaluated per kernel block in grid_eval
+GRID_CHUNK = 256  # grid points evaluated per kernel block in grid_eval
 
 
 @dataclass

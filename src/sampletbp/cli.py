@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from math import comb
@@ -257,13 +258,13 @@ def cmd_bench(args):
 
 
 def _resolve_kernels(args):
-    cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    cfg = parse_config_file(args.config) if args.config else {}
     specs = kernels_from_config(cfg)
-    # flag overrides apply to the first kernel
-    if getattr(args, "kernel", None) or getattr(args, "length", None):
-        family = args.kernel or specs[0].family
-        length = args.length if args.length is not None else specs[0].length
-        specs[0] = KernelSpec(family, length=length)
+    # flag overrides apply to the first kernel and keep its other fields
+    if args.kernel or args.length is not None:
+        specs[0] = dataclasses.replace(
+            specs[0], family=args.kernel or specs[0].family,
+            length=specs[0].length if args.length is None else args.length)
     return specs
 
 

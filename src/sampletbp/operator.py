@@ -24,7 +24,6 @@ class OperatorError(ValueError):
 
 _MAGIC = b"SMPK1"
 _HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
-THRESHOLD_CHUNK = 512  # rows of the dense matrix thresholded at a time
 GRAM_CHUNK = 256  # rows of a Gram block computed at a time
 
 
@@ -158,32 +157,15 @@ class CompressedOperator:
         C = np.asarray(C, dtype=float)
         if not np.all(np.isfinite(C)):
             raise OperatorError("non-finite matrix entries")
-        n, m = C.shape
-        total_sq = 0.0
-        dropped_sq = 0.0
-        parts = []
-        indptr = [0]
-        for lo in range(0, n, THRESHOLD_CHUNK):
-            hi = min(lo + THRESHOLD_CHUNK, n)
-            block = C[lo:hi]
-            total_sq += float(np.einsum("ij,ij->", block, block))
-            mask = np.abs(block) >= tau
-            rows = np.arange(lo, hi)
-            diag = rows[rows < m]
-            mask[diag - lo, diag] = True
-            dropped = block[~mask]
-            dropped_sq += float(dropped @ dropped)
-            for r in range(lo, hi):
-                cols = np.nonzero(mask[r - lo])[0]
-                vals = block[r - lo, cols]
-                parts.append((cols, vals))
-                indptr.append(indptr[-1] + cols.size)
-        indices = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        data = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
-        mat = scipy.sparse.csr_matrix(
-            (data, indices.astype(np.int64), np.asarray(indptr, dtype=np.int64)),
-            shape=(n, m))
-        est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
+        keep = np.abs(C) >= tau
+        np.fill_diagonal(keep, True)
+        rows, cols = np.nonzero(keep)
+        mat = scipy.sparse.csr_matrix((C[rows, cols], (rows, cols)),
+                                      shape=C.shape)
+        total_sq = float(np.einsum("ij,ij->", C, C))
+        dropped = C[~keep]
+        est = (np.sqrt(float(dropped @ dropped) / total_sq)
+               if total_sq > 0 else 0.0)
         return CompressedOperator(matrix=mat, threshold=float(tau),
                                   est_rel_frobenius_error=float(est))
 
@@ -242,7 +224,7 @@ def compress_peak_bytes(n):
                        * min(PANEL, n))
 
 
-def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
+def compress(basis: SampletBasis, spec, cloud, tau):
     """Samplet-compressed kernel operator K^Sigma_eps: exact two-sided
     transform C = T K T^T, a-posteriori thresholding, built by recursion
     over the cluster tree.
@@ -273,14 +255,12 @@ def compress(basis: SampletBasis, spec, cloud, tau, cap=65536):
     fixed order, so the operator and its error estimate do not depend on
     the number of workers.
 
-    Raises ``BudgetError`` above N = cap, and before allocating when the
-    estimated peak, ``compress_peak_bytes``, exceeds the machine's physical
-    memory: the root's buffer plus the panels of every worker; the sparse
-    result is left out."""
+    Raises ``BudgetError`` before allocating when the estimated peak,
+    ``compress_peak_bytes``, exceeds the machine's physical memory: the
+    root's buffer plus the panels of every worker; the sparse result is
+    left out."""
     _check_threshold(tau)
     n = cloud.n
-    if n > cap:
-        raise BudgetError(f"kernel assembly capped at N = {cap}")
     need = compress_peak_bytes(n)
     have = physical_memory()
     if need > have:
@@ -427,34 +407,17 @@ def _threshold(X, rows, cols, tau, diagonal=False):
 
 def _mirror(n, parts):
     """Exactly symmetric canonical CSR matrix from kept entries (rows,
-    cols, vals), one of each mirrored pair and the diagonal.  The parts are
-    emptied as they are copied into the preallocated result."""
-    counts = np.zeros(n, dtype=np.int64)
-    for rows, cols, _ in parts:
-        counts += np.bincount(rows, minlength=n)
-        counts += np.bincount(cols[rows != cols], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # the index type scipy would choose, so that it keeps these arrays
-    big = indptr[-1] > np.iinfo(np.int32).max
-    indices = np.empty(indptr[-1], dtype=np.int64 if big else np.int32)
-    data = np.empty(indptr[-1])
-    free = indptr[:-1].copy()  # the next free slot of each row
-    while parts:
-        rows, cols, vals = parts.pop(0)
-        off = rows != cols
-        for r, c, v in ((rows, cols, vals), (cols[off], rows[off], vals[off])):
-            order = np.argsort(r, kind="stable")
-            r = r[order]
-            count = np.bincount(r, minlength=n)
-            first = np.cumsum(count) - count  # of each row's run in r
-            at = free[r] + np.arange(r.size) - first[r]
-            indices[at] = c[order]
-            data[at] = v[order]
-            free += count
-    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    matrix.sort_indices()
-    return matrix
+    cols, vals), one of each mirrored pair and the diagonal.  The list of
+    parts is emptied before the conversion."""
+    # the index type scipy keeps, so that the conversion copies no index
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    off = [rows != cols for rows, cols, _ in parts]
+    rows, cols, vals = (
+        np.concatenate([p[i] for p in parts]
+                       + [p[j][o] for p, o in zip(parts, off)], dtype=t)
+        for i, j, t in ((0, 1, idx), (1, 0, idx), (2, 2, float)))
+    parts.clear()
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 # power iteration of estimate_lipschitz: relative stopping tolerance,

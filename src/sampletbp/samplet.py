@@ -189,15 +189,8 @@ class SampletBasis:
         for blk in self.blocks_bfs:
             if blk.n_samplets:
                 emit(blk.out_start, blk.node.lo, blk.sam_vectors)
-        # the blocks emit their rows in ascending order, so T is CSR already
-        # once each row's columns are sorted
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.concatenate(rows), minlength=n),
-                  out=indptr[1:])
-        T = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
-        T.sort_indices()
-        return T
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def to_dense(self):
         return self.to_sparse().toarray()

@@ -275,7 +275,8 @@ def fista(op, h_sigma, w, config=None, basis=None, mode="mr"):
 class _GammaState:
     """Gamma starts at 1/L and is re-estimated as the smallest eigenvalue of
     the active-set Gram matrix whenever the active set is nonempty and
-    differs from the one of the last estimate."""
+    differs from the one of the last estimate, unless the Gram matrix is
+    numerically singular."""
 
     def __init__(self, op):
         self.gamma = 1.0 / estimate_lipschitz(op)
@@ -289,7 +290,10 @@ class _GammaState:
             return  # same M_aa, same eigenvalue: gamma already reflects it
         self._key = key
         eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
-        if eig_min > 0:
+        # at or below the numerical-rank tolerance M_aa is singular and
+        # eig_min is rounding noise: gamma keeps its value
+        rank_tol = M_aa.shape[0] * np.finfo(float).eps * M_aa.diagonal().max()
+        if eig_min > rank_tol:
             self.gamma = eig_min
 
 

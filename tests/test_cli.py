@@ -14,6 +14,7 @@ from sampletbp import cli
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_SOLVER,
                            EXIT_USAGE, build_parser, ingest_labeled_csv,
                            kernels_from_config, parse_config_file, run)
+from sampletbp.kernel import KernelSpec
 from sampletbp.solver import SOLVERS, SolverConfig
 
 
@@ -269,6 +270,17 @@ class TestBench:
         assert rc == EXIT_BAD_INPUT
         assert not report.exists()
 
+    def test_field_csv(self, tmp_path):
+        field = tmp_path / "field.csv"
+        rc = run(["bench", "--case", "cartoon", "--n", "300", "--solver",
+                  "ridge", "--field", str(field), "--grid", "8x8",
+                  "--report", str(tmp_path / "report.json"),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_OK
+        table = np.loadtxt(field, delimiter=",")
+        assert table.shape == (64, 3)
+        assert np.all(np.isfinite(table))
+
     @pytest.mark.parametrize("args", [
         ("--outer-steps", "-5"), ("--tol", "0"), ("--mu0", "1"),
         ("--weight", "nan"), ("--weight", "inf"), ("--tol", "nan"),
@@ -480,6 +492,30 @@ class TestConfig:
                   "--table", str(tmp_path / "t.csv")])
         assert rc == EXIT_BAD_INPUT
         assert not report.exists()
+
+    def test_flag_override_keeps_config_fields(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("kernel.0.family=matern32\nkernel.0.length=0.5\n"
+                        "kernel.0.dim_scaling=false\n"
+                        "kernel.0.periodic_scale=7\n")
+        args = build_parser().parse_args(
+            ["bench", "--case", "spss", "--config", str(path),
+             "--length", "0.25"])
+        assert cli._single_kernel(args) == KernelSpec(
+            "matern32", length=0.25, dim_scaling=False, periodic_scale=7.0)
+
+    @pytest.mark.parametrize("value, code", [("false", EXIT_OK),
+                                             ("maybe", EXIT_BAD_INPUT)])
+    def test_dim_scaling_value(self, tmp_path, value, code):
+        path = tmp_path / "run.cfg"
+        path.write_text("kernel.0.family=matern32\n"
+                        f"kernel.0.dim_scaling={value}\n")
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1",
+                  "--config", str(path), "--report", str(report),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == code
+        assert report.exists() == (code == EXIT_OK)
 
 
 class TestEntryPoint:

@@ -116,11 +116,6 @@ class TestCompress:
         pattern = (op.matrix != 0)
         assert (pattern != pattern.T).nnz == 0
 
-    def test_cap(self, rng):
-        cloud, basis = make_setup(rng, 32)
-        with pytest.raises(BudgetError):
-            compress(basis, MATERN, cloud, tau=1e-4, cap=16)
-
     def test_streamed_matches_dense_oracle(self, rng):
         # several panels, the last one ragged
         n = 2 * PANEL + 37

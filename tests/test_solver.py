@@ -222,6 +222,41 @@ class TestMrssn:
             damped += rep.extras["newton_damped"]
         assert damped > 0
 
+    @pytest.mark.parametrize("solve", [mrssn, ir_mrssn])
+    def test_equal_columns_match_cd_oracle(self, solve):
+        # M_aa is singular once both copies are active; its smallest
+        # eigenvalue is rounding noise, which must not become gamma
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 40))
+            A = random_spd(n, rng, ridge=1.0)
+            A[:, 1] = A[:, 0]
+            h = rng.standard_normal(n)
+            w = np.full(n, 0.05 * np.abs(A.T @ h).max())
+            rep = solve(dense_op(A), h, w, config=SolverConfig(tol=1e-10))
+            b = cd_lasso(A, h, w)
+            assert abs(rep.objective - lasso_objective(A, h, b, w)) <= 1e-8
+            assert kkt_violation(A, h, rep.beta, w) <= 1e-8
+
+    def test_empty_active_set_resets_to_zero(self):
+        # a weight above every |K^T h| leaves no coordinate active: the
+        # start is replaced by the fixed point beta = 0
+        A, h, _ = easy_lasso(3)
+        op = dense_op(A)
+        n = len(h)
+        beta = np.ones(n)
+        res = h - op.matvec(beta)
+        kth = op.matvec_transpose(h)
+        counts = dict.fromkeys(("newton_accepted", "newton_damped",
+                                "newton_rejected", "cd_sweeps"), 0)
+        beta, res, g, iterations, r_inf = solver._mrssn_loop(
+            op, h, np.full(n, 1e10), beta, res, op.matvec_transpose(res),
+            solver._GammaState(op), 1e-10, 5, counts, _GramCache(op), kth)
+        assert iterations == 1 and r_inf == 0.0
+        assert not beta.any()
+        assert res is h and g is kth
+        assert not any(counts.values())
+
     def test_cd_sweeps_counter(self):
         # mrssn takes Newton steps only on the easy instance; the
         # ill-conditioned ones fall back to coordinate descent, at most
