@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .geometry import BudgetError, PointCloud, build_cluster_tree
-from .kernel import KernelSpec, cross_matrix
+from .geometry import PointCloud, build_cluster_tree, require_memory
+from .kernel import CROSS_COPIES, KernelSpec, cross_matrix
 from .samplet import SampletBasis, build_samplet_basis
 
 
@@ -161,16 +162,16 @@ def metrics(report, data: BenchData, op):
     return rec
 
 
-def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7):
+def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
     """Direct-summation evaluation of a (multi-kernel) interpolant on a grid.
 
     alphas and kernels are parallel lists; pass single-element lists for one
     kernel.  grid_points is (M, d).
     """
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    m = grid_points.shape[0]
-    if m * cloud.n > budget:
-        raise BudgetError("grid evaluation budget exceeded")
+    (m, d), n = grid_points.shape, cloud.n
+    require_memory(8 * (m + min(m, GRID_CHUNK) * (CROSS_COPIES * n + d)
+                        + n * d), f"grid evaluation of {m} points at N = {n}")
     out = np.zeros(m)
     for alpha, spec in zip(alphas, kernels):
         alpha = np.asarray(alpha, dtype=float)
@@ -183,6 +184,8 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points, budget=10**7):
 
 def cartesian_grid(box, shape):
     """Regular grid over an axis-aligned box, shape (prod(shape), d)."""
+    m = prod(shape)  # the mesh and the stacked points: two such arrays
+    require_memory(16 * m * len(shape), f"a grid of {m} points")
     axes = [np.linspace(box[0][j], box[1][j], shape[j])
             for j in range(len(shape))]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -27,8 +27,8 @@ EXIT_BUDGET = 4
 EXIT_SOLVER = 5
 
 _EPILOG = """\
-exit codes: 0 success, 2 usage error, 3 malformed input file,
-4 size/budget exceeded, 5 solver failure.
+exit codes: 0 success, 2 usage error, 3 malformed input file or --grid,
+4 estimated peak memory above physical memory, 5 solver failure.
 
 config files are plain text `key=value` lines (# comments allowed) that
 declare kernels only, with consecutive indices for dictionaries of several
@@ -202,6 +202,7 @@ def cmd_fit(args):
 
 def cmd_eval(args):
     cloud = PointCloud.from_csv(args.points)
+    shape = _parse_grid(args.grid, cloud.dim)
     specs = _resolve_kernels(args)
     table = read_numeric_csv(args.coefficients)
     if table.shape[1] < 3:
@@ -211,12 +212,9 @@ def cmd_eval(args):
     if alpha.shape[0] != cloud.n * len(specs):
         raise GeometryError("coefficient count does not match N * L")
     _require_finite(alpha, "coefficient file")
-    shape = tuple(int(s) for s in args.grid.split("x"))
-    if len(shape) != cloud.dim:
-        raise GeometryError("grid shape rank must equal the dimension")
     grid = cartesian_grid(cloud.domain_box, shape)
     alphas = np.split(alpha, len(specs))
-    field = grid_eval(alphas, specs, cloud, grid, budget=args.budget)
+    field = grid_eval(alphas, specs, cloud, grid)
     with open(args.output, "w") as fh:
         fh.write(",".join(f"x{j+1}" for j in range(cloud.dim)) + ",value\n")
         for row, val in zip(grid, field):
@@ -228,6 +226,8 @@ def cmd_bench(args):
     spec = _single_kernel(args)
     case = BenchmarkCase(generator=args.case, n=args.n, seed=args.seed,
                          noise_level=args.noise, kernel=spec, q=args.q)
+    if args.field:
+        shape = _parse_grid(args.grid, case.dim)
     data = generate(case)
     op = compress(data.basis, spec, data.cloud, args.tau)
     report, op_summary = _solve(args, args.solver, op,
@@ -249,12 +249,23 @@ def cmd_bench(args):
                  f"{table_time:.17g},{rec['beta_nnz']},"
                  f"{rec['rel_l2_error']:.17g}\n")
     if args.field:
-        shape = tuple(int(s) for s in args.grid.split("x"))
         grid = cartesian_grid(data.cloud.domain_box, shape)
         field = grid_eval([report.alpha], [spec], data.cloud, grid)
         np.savetxt(args.field, np.column_stack([grid, field]),
                    delimiter=",", fmt="%.17g")
     return EXIT_OK
+
+
+def _parse_grid(text, dim):
+    """``--grid`` as a shape of ``dim`` positive point counts."""
+    try:
+        shape = tuple(int(s) for s in text.split("x"))
+    except ValueError:
+        shape = ()
+    if len(shape) != dim or min(shape) < 1:
+        raise GeometryError(f"--grid {text}: expected {dim} positive point "
+                            "counts joined by x, one per coordinate")
+    return shape
 
 
 def _resolve_kernels(args):
@@ -332,7 +343,6 @@ def build_parser():
     sp.add_argument("--coefficients", required=True)
     sp.add_argument("--output", default="field.csv")
     sp.add_argument("--grid", default="200x200")
-    sp.add_argument("--budget", type=int, default=10**7)
     common(sp, solver=False)
     sp.set_defaults(func=cmd_eval)
 
@@ -362,7 +372,7 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

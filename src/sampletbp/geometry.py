@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -13,7 +14,20 @@ class GeometryError(ValueError):
 
 
 class BudgetError(ValueError):
-    """A size or work budget would be exceeded (CLI exit code 4)."""
+    """An estimated peak above physical memory (CLI exit code 4)."""
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(need, what):
+    """Raise ``BudgetError`` if ``what`` needs more than physical memory."""
+    have = physical_memory()
+    if need > have:
+        raise BudgetError(f"{what} needs about {need / 2**30:.1f} GiB; "
+                          f"physical memory is {have / 2**30:.1f} GiB")
 
 
 def bounding_box(points):

@@ -8,7 +8,7 @@ from math import sqrt
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import BudgetError, PointCloud
+from .geometry import PointCloud, require_memory
 
 
 class KernelError(ValueError):
@@ -16,6 +16,9 @@ class KernelError(ValueError):
 
 
 FAMILIES = ("matern32", "exponential", "gaussian", "periodic", "tensor")
+# peak of cross_matrix in float64 blocks of its output's size: a tensor's
+# product beside a component's distances and profile temporary (2 if radial)
+CROSS_COPIES = 3
 
 
 @dataclass(frozen=True)
@@ -139,10 +142,11 @@ def cross_matrix(spec: KernelSpec, xs, ys):
     return K
 
 
-def assemble_dense(spec: KernelSpec, cloud: PointCloud, cap=65536):
+def assemble_dense(spec: KernelSpec, cloud: PointCloud):
     """Dense kernel matrix K[i, j] = k(x_i, x_j), symmetrized exactly."""
-    if cloud.n > cap:
-        raise BudgetError(f"dense assembly capped at N = {cap}")
+    n = cloud.n  # CROSS_COPIES blocks beside the point copies of a tensor
+    require_memory(8 * n * (CROSS_COPIES * n + 2 * cloud.dim),
+                   f"dense assembly at N = {n}")
     K = cross_matrix(spec, cloud.points, cloud.points)
     # in-place symmetrization keeps the peak memory at one extra buffer
     K += K.T

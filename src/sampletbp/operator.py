@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .geometry import BudgetError
+from . import geometry
 # assemble_dense stays importable from here: perfbench's tracer rebinds it
 from .kernel import assemble_dense, cross_matrix  # noqa: F401
 from .samplet import SampletBasis
@@ -201,11 +201,6 @@ STRIP = 64  # rows of a transformed panel stored transposed at a time
 PANEL_COPIES = 12
 
 
-def physical_memory():
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 def panel_workers(n):
     """Threads of ``compress`` at N = n: one per core this process may run
     on, at most one per column panel of the root's passes, and no more than
@@ -213,7 +208,7 @@ def panel_workers(n):
     half = n - n // 2
     panels = -(-half // PANEL)
     per_worker = 8 * half * PANEL_COPIES * min(PANEL, n)
-    fit = (physical_memory() - 8 * half * (n // 2)) // per_worker
+    fit = (geometry.physical_memory() - 8 * half * (n // 2)) // per_worker
     return max(1, min(len(os.sched_getaffinity(0)), panels, fit))
 
 
@@ -255,18 +250,12 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     fixed order, so the operator and its error estimate do not depend on
     the number of workers.
 
-    Raises ``BudgetError`` before allocating when the estimated peak,
-    ``compress_peak_bytes``, exceeds the machine's physical memory: the
-    root's buffer plus the panels of every worker; the sparse result is
-    left out."""
+    Before allocating, ``require_memory`` checks the estimated peak,
+    ``compress_peak_bytes``: the root's buffer plus the panels of every
+    worker; the sparse result is left out."""
     _check_threshold(tau)
     n = cloud.n
-    need = compress_peak_bytes(n)
-    have = physical_memory()
-    if need > have:
-        raise BudgetError(
-            f"compression at N = {n} needs about {need / 2**30:.1f} GiB; "
-            f"physical memory is {have / 2**30:.1f} GiB")
+    geometry.require_memory(compress_peak_bytes(n), f"compression at N = {n}")
     with ThreadPoolExecutor(panel_workers(n)) as pool:
         build = _Build(basis, spec, cloud.points[basis.tree.permutation], tau,
                        pool.map)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import operator
-from .geometry import BudgetError
+from .geometry import require_memory
 from .operator import CompressedOperator, estimate_lipschitz
 
 
@@ -54,6 +53,8 @@ class SolverConfig:
             raise SolverError("lam must be nonnegative and finite")
         if not 1 < self.mu0 < math.inf:
             raise SolverError("mu0 must exceed 1 and be finite")
+        if self.max_iter < 1:
+            raise SolverError("max_iter must be at least 1")
         if self.outer_steps < 0:
             raise SolverError("outer_steps must be nonnegative")
         try:
@@ -335,13 +336,8 @@ class _GramCache:
         cap = self.M.shape[0]
         if hi > cap:
             cap = min(self.slot.size, max(hi, 2 * cap))
-        need = 8 * (cap * cap + NEWTON_COPIES * hi * hi)
-        have = operator.physical_memory()
-        if need > have:
-            raise BudgetError(
-                f"the Newton system over {hi} columns needs about "
-                f"{need / 2**30:.1f} GiB; physical memory is "
-                f"{have / 2**30:.1f} GiB")
+        require_memory(8 * (cap * cap + NEWTON_COPIES * hi * hi),
+                       f"the Newton system over {hi} columns")
         if cap > self.M.shape[0]:
             M = np.empty((cap, cap))
             M[:lo, :lo] = self.M[:lo, :lo]

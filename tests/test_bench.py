@@ -3,9 +3,9 @@ import pytest
 
 from sampletbp import (BudgetError, KernelSpec, PointCloud, generate,
                        grid_eval, metrics)
-from sampletbp.bench import (BenchError, BenchmarkCase, cartesian_grid,
-                             spms_index_window)
-from sampletbp.kernel import assemble_dense, evaluate
+from sampletbp.bench import (GRID_CHUNK, BenchError, BenchmarkCase,
+                             cartesian_grid, spms_index_window)
+from sampletbp.kernel import CROSS_COPIES, assemble_dense, evaluate
 from sampletbp.solver import SolveReport
 
 
@@ -182,11 +182,35 @@ class TestGridEval:
                                                 cloud.points[i])
         assert np.abs(field - naive).max() <= 1e-12
 
-    def test_budget(self, rng):
+    def test_budget(self, rng, monkeypatch):
+        # the outputs and one chunk's kernel blocks and coordinates must fit
+        # in memory; checked before any kernel entry is computed
         cloud = PointCloud(rng.uniform(0, 1, (100, 2)))
-        with pytest.raises(BudgetError):
-            grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
-                      np.zeros((200, 2)), budget=100)
+        grid = np.zeros((2 * GRID_CHUNK, 2))
+        need = 8 * (2 * GRID_CHUNK + GRID_CHUNK * (CROSS_COPIES * 100 + 2)
+                    + 100 * 2)
+        memory = "sampletbp.geometry.physical_memory"
+        monkeypatch.setattr(memory, lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr("sampletbp.bench.cross_matrix",
+                      lambda *args: pytest.fail("evaluated"))
+            with pytest.raises(BudgetError, match="physical memory"):
+                grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
+                          grid)
+        monkeypatch.setattr(memory, lambda: need)
+        assert grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
+                         grid).shape == (2 * GRID_CHUNK,)
+
+    def test_grid_too_large(self, monkeypatch):
+        # the points are refused before they are allocated
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: 16 * 20 * 2 - 1)
+        with pytest.raises(BudgetError, match="physical memory"):
+            cartesian_grid([[0.0, 0.0], [1.0, 1.0]], (4, 5))
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: 16 * 20 * 2)
+        assert cartesian_grid([[0.0, 0.0], [1.0, 1.0]], (4, 5)).shape \
+            == (20, 2)
 
     def test_cartesian_grid_shape(self):
         g = cartesian_grid([[0.0, 0.0], [1.0, 2.0]], (3, 5))

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import dense_op
 from sampletbp import cli
+from sampletbp.bench import GRID_CHUNK
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_SOLVER,
                            EXIT_USAGE, build_parser, ingest_labeled_csv,
                            kernels_from_config, parse_config_file, run)
-from sampletbp.kernel import KernelSpec
+from sampletbp.kernel import CROSS_COPIES, KernelSpec
 from sampletbp.solver import SOLVERS, SolverConfig
 
 
@@ -25,6 +26,11 @@ def write_points(path, pts, values=None):
             if values is not None:
                 cells.append(f"{values[i]:.17g}")
             fh.write(",".join(cells) + "\n")
+
+
+# --grid values that are not one positive count per coordinate of 2-D data
+BAD_GRIDS = ["8x8x8", "abc", "0x5", "5x-2"]
+BAD_GRID_IDS = ["rank-3", "text", "zero", "negative"]
 
 
 @pytest.fixture
@@ -149,7 +155,7 @@ class TestFitEval:
         assert lines[0] == "x1,x2,value"
         assert len(lines) == 1 + 400
 
-    def test_eval_budget_exceeded(self, tmp_path, rng):
+    def test_eval_budget_exceeded(self, tmp_path, rng, monkeypatch):
         data = self._labeled(tmp_path, rng)
         coeff = tmp_path / "c.csv"
         run(["fit", "--data", str(data), "--weight", "0", "--q", "1",
@@ -158,10 +164,38 @@ class TestFitEval:
         pts_only = tmp_path / "pts.csv"
         table = np.loadtxt(data, delimiter=",", ndmin=2)
         write_points(pts_only, table[:, :2])
+        # memory for the 50 x 50 points but not for evaluating them
+        need = 8 * (2500 + GRID_CHUNK * (CROSS_COPIES * 150 + 2) + 150 * 2)
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: need - 1)
+        field = tmp_path / "f.csv"
         rc = run(["eval", "--points", str(pts_only), "--coefficients",
-                  str(coeff), "--output", str(tmp_path / "f.csv"),
-                  "--grid", "50x50", "--budget", "1000"])
+                  str(coeff), "--output", str(field), "--grid", "50x50"])
         assert rc == EXIT_BUDGET
+        assert not field.exists()
+
+    def test_eval_grid_too_large(self, cloud_csv, tmp_path):
+        # 4·10^10 points are refused before they are allocated
+        coeff = tmp_path / "c.csv"
+        coeff.write_text("".join(f"{i},0,1\n" for i in range(100)))
+        field = tmp_path / "f.csv"
+        rc = run(["eval", "--points", str(cloud_csv), "--coefficients",
+                  str(coeff), "--output", str(field),
+                  "--grid", "200000x200000"])
+        assert rc == EXIT_BUDGET
+        assert not field.exists()
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_eval_bad_grid(self, cloud_csv, tmp_path, monkeypatch, grid):
+        # checked before the coefficients are read
+        monkeypatch.setattr(cli, "read_numeric_csv",
+                            lambda path: pytest.fail("read"))
+        field = tmp_path / "f.csv"
+        rc = run(["eval", "--points", str(cloud_csv), "--coefficients",
+                  str(tmp_path / "c.csv"), "--output", str(field),
+                  f"--grid={grid}"])
+        assert rc == EXIT_BAD_INPUT
+        assert not field.exists()
 
     @pytest.mark.parametrize("content", [
         "index,beta\n" + "".join(f"{i},0\n" for i in range(100)),
@@ -221,8 +255,8 @@ class TestBench:
         assert run(["bench", "--case", "spss", "--frobnicate"]) == EXIT_USAGE
 
     def test_memory_budget_exit_code(self, tmp_path, monkeypatch):
-        # a machine too small for the dense path: exit 4 before assembly
-        monkeypatch.setattr("sampletbp.operator.physical_memory",
+        # a machine too small for the compression: exit 4 before the build
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
                             lambda: 2**20)
         report = tmp_path / "report.json"
         rc = run(["bench", "--case", "spss", "--n", "400", "--report",
@@ -236,7 +270,7 @@ class TestBench:
 
         def build_then_shrink(*args):
             op = build(*args)
-            monkeypatch.setattr("sampletbp.operator.physical_memory",
+            monkeypatch.setattr("sampletbp.geometry.physical_memory",
                                 lambda: 2**16)
             return op
 
@@ -281,15 +315,51 @@ class TestBench:
         assert table.shape == (64, 3)
         assert np.all(np.isfinite(table))
 
+    def test_field_csv_default_grid(self, tmp_path):
+        # 200 x 200 points at N = 300: no fixed cap on points times N
+        field = tmp_path / "field.csv"
+        rc = run(["bench", "--case", "spss", "--n", "300", "--solver",
+                  "ridge", "--field", str(field),
+                  "--report", str(tmp_path / "report.json"),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_OK
+        table = np.loadtxt(field, delimiter=",")
+        assert table.shape == (40000, 3)
+        assert np.all(np.isfinite(table))
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_bad_grid_exit_code(self, tmp_path, monkeypatch, grid):
+        # checked before the data are generated; no file is written
+        monkeypatch.setattr(cli, "generate", lambda case: pytest.fail("ran"))
+        rc = run(["bench", "--case", "spss", "--n", "150", "--field",
+                  str(tmp_path / "f.csv"), f"--grid={grid}",
+                  "--report", str(tmp_path / "r.json"),
+                  "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_INPUT
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch):
+        # an allocation that fails outside the estimates is exit 4 too
+        def generate(case):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        report = tmp_path / "report.json"
+        rc = run(["bench", "--case", "spss", "--n", "1000000000",
+                  "--report", str(report), "--table", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BUDGET
+        assert not report.exists()
+
     @pytest.mark.parametrize("args", [
         ("--outer-steps", "-5"), ("--tol", "0"), ("--mu0", "1"),
         ("--weight", "nan"), ("--weight", "inf"), ("--tol", "nan"),
         ("--mu0", "nan"), ("--mu0", "1e10"), ("--outer-steps", "100000"),
         ("--solver", "ridge", "--lambda", "nan"),
         ("--solver", "ridge", "--lambda", "inf"),
+        ("--solver", "mrfista", "--max-iter", "0"),
     ], ids=["outer-steps", "tol", "mu0", "weight-nan", "weight-inf",
             "tol-nan", "mu0-nan", "mu0-overflow", "outer-steps-overflow",
-            "lambda-nan", "lambda-inf"])
+            "lambda-nan", "lambda-inf", "max-iter"])
     def test_bad_solver_setting_exit_code(self, tmp_path, args):
         report = tmp_path / "report.json"
         rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1", *args,
@@ -346,7 +416,8 @@ def test_fit_and_bench_run_the_named_solver(tmp_path, rng, solver):
 @pytest.mark.parametrize("argv", [
     ["--threads", "2", "info", "{csv}"],
     ["fit", "--data", "{csv}", "--diagonal-scaling"],
-], ids=["threads", "diagonal-scaling"])
+    ["eval", "--points", "{csv}", "--coefficients", "{csv}", "--budget", "5"],
+], ids=["threads", "diagonal-scaling", "budget"])
 def test_removed_flags_are_usage_errors(argv, cloud_csv):
     assert run([a.format(csv=cloud_csv) for a in argv]) == EXIT_USAGE
 

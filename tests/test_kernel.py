@@ -1,3 +1,4 @@
+import tracemalloc
 from math import exp, sqrt
 
 import numpy as np
@@ -6,14 +7,29 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from sampletbp import (BudgetError, KernelSpec, PointCloud, assemble_dense,
-                       evaluate)
-from sampletbp.kernel import KernelError, cross_matrix, radial_profile
+                       evaluate, grid_eval)
+from sampletbp.bench import GRID_CHUNK
+from sampletbp.kernel import (CROSS_COPIES, KernelError, cross_matrix,
+                              radial_profile)
 
 
 RADIAL = [KernelSpec("matern32", length=0.25),
           KernelSpec("exponential", length=0.1),
           KernelSpec("gaussian", length=0.3),
           KernelSpec("periodic", length=1.0)]
+TENSOR = KernelSpec("tensor", components=(
+    (KernelSpec("matern32", length=0.2), (0, 1)),
+    (KernelSpec("periodic", length=1.0, dim_scaling=False), (2,))))
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEvaluate:
@@ -121,10 +137,38 @@ class TestAssemble:
                     * cross_matrix(time, xs[:, 2:], ys[:, 2:]))
         assert np.array_equal(cross_matrix(tensor, xs, ys), expected)
 
-    def test_cap(self, rng):
+    def test_cap(self, rng, monkeypatch):
+        # the estimate is checked against physical memory before any kernel
+        # entry is computed
         cloud = PointCloud(rng.uniform(0, 1, (20, 2)))
-        with pytest.raises(BudgetError):
-            assemble_dense(RADIAL[0], cloud, cap=10)
+        need = 8 * 20 * (CROSS_COPIES * 20 + 2 * 2)
+        memory = "sampletbp.geometry.physical_memory"
+        monkeypatch.setattr(memory, lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr("sampletbp.kernel.cross_matrix",
+                      lambda *args: pytest.fail("assembled"))
+            with pytest.raises(BudgetError, match="physical memory"):
+                assemble_dense(RADIAL[0], cloud)
+        monkeypatch.setattr(memory, lambda: need)
+        assert assemble_dense(RADIAL[0], cloud).shape == (20, 20)
+
+    @pytest.mark.parametrize("spec", [RADIAL[0], TENSOR],
+                             ids=["radial", "tensor"])
+    def test_peak_memory_within_estimate(self, rng, spec, monkeypatch):
+        # dense assembly and grid evaluation (three chunks) peak at or below
+        # their estimates: a machine one byte short of the peak is refused
+        n, m, d = 600, 2 * GRID_CHUNK + 100, 3
+        cloud = PointCloud(rng.uniform(0, 1, (n, d)))
+        grid = rng.uniform(0, 1, (m, d))
+        alpha = rng.standard_normal(n)
+        for run in (lambda: assemble_dense(spec, cloud),
+                    lambda: grid_eval([alpha], [spec], cloud, grid)):
+            peak = traced_peak(run)
+            with monkeypatch.context() as patch:
+                patch.setattr("sampletbp.geometry.physical_memory",
+                              lambda: peak - 1)
+                with pytest.raises(BudgetError):
+                    run()
 
 
 class TestSpecs:

@@ -197,13 +197,13 @@ class TestCompress:
     def test_worker_count(self, monkeypatch):
         n = 8 * PANEL  # the root's passes run over 4 panels of N/2 points
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr("sampletbp.operator.physical_memory",
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
                             lambda: 2**40)
         assert panel_workers(n) == 4  # one per panel
         assert panel_workers(PANEL) == 1
         half = n // 2
         per_worker = 8 * half * PANEL_COPIES * PANEL
-        monkeypatch.setattr("sampletbp.operator.physical_memory",
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
                             lambda: 8 * half * half + 2 * per_worker + 1)
         assert panel_workers(n) == 2  # as many as memory holds
         assert compress_peak_bytes(n) == 8 * half * half + 2 * per_worker
@@ -214,7 +214,7 @@ class TestCompress:
         # the estimate is checked before any kernel entry is computed
         cloud, basis = make_setup(rng, 32)
         need = compress_peak_bytes(32)
-        memory = "sampletbp.operator.physical_memory"
+        memory = "sampletbp.geometry.physical_memory"
         monkeypatch.setattr(memory, lambda: need - 1)
         with monkeypatch.context() as m:
             m.setattr("sampletbp.operator.cross_matrix",

@@ -193,7 +193,7 @@ class TestMrssn:
         A = random_spd(30, rng, ridge=1.0)
         h = rng.standard_normal(30)
         need = 8 * (1 + solver.NEWTON_COPIES) * 30 * 30
-        memory = "sampletbp.operator.physical_memory"
+        memory = "sampletbp.geometry.physical_memory"
         cfg = SolverConfig(tol=1e-10, outer_steps=1)
         for solve in (mrssn, ir_mrssn):
             monkeypatch.setattr(memory, lambda: need)
