@@ -189,34 +189,36 @@ class CompressedOperator:
                                         for op in ops))
 
 
-PANEL = 512  # kernel columns assembled and transformed at a time
-STRIP = 64  # rows of a transformed panel stored transposed at a time
-# peak memory of the build: the root's ceil(N/2) x floor(N/2) float64
-# buffer plus, for each worker, PANEL_COPIES float64 ceil(N/2) x PANEL
-# panels.  A worker holds two at once (the kernel panel beside its profile
-# temporary or its transform); the rest covers the kept entries, the
-# interpreter and libraries, so that for cartoon at N = 6000 and spss at
-# N = 10^4 the estimate is at or above the measured peak RSS of the whole
-# process with one or two workers (one worker at N = 6000 needs 11)
-PANEL_COPIES = 12
+PANEL = 512  # a cluster of at most PANEL points is not split further
+# per worker, the kernel block of a pair of clusters of at most PANEL points
+# and its two transforms: PANEL_COPIES float64 PANEL x PANEL blocks
+# (tracemalloc: 3.3 to 3.5 with one or two workers at N = 2048, where the
+# blocks are 512 x 512)
+PANEL_COPIES = 4
+# bytes per kept entry at the peak of _mirror: the parts' int64 rows and
+# columns and float64 values beside the mirrored triples (tracemalloc: 64.8
+# to 66.4 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
+KEPT_BYTES = 68
+BATCH = 4  # base pairs per worker handed to the pool at a time
+
+
+def _worker_bytes(n):
+    return 8 * PANEL_COPIES * min(PANEL, n) ** 2
 
 
 def panel_workers(n):
     """Threads of ``compress`` at N = n: one per core this process may run
-    on, at most one per column panel of the root's passes, and no more than
-    physical memory holds beside the root's buffer; at least one."""
-    half = n - n // 2
-    panels = -(-half // PANEL)
-    per_worker = 8 * half * PANEL_COPIES * min(PANEL, n)
-    fit = (geometry.physical_memory() - 8 * half * (n // 2)) // per_worker
-    return max(1, min(len(os.sched_getaffinity(0)), panels, fit))
+    on, and no more than physical memory holds; at least one."""
+    fit = geometry.physical_memory() // _worker_bytes(n)
+    return max(1, min(len(os.sched_getaffinity(0)), fit))
 
 
 def compress_peak_bytes(n):
-    """Estimated peak bytes of ``compress`` at N = n."""
-    half = n - n // 2
-    return 8 * half * (n // 2 + panel_workers(n) * PANEL_COPIES
-                       * min(PANEL, n))
+    """Estimated peak bytes of the working buffers of ``compress`` at
+    N = n: PANEL_COPIES blocks per worker.  The scaling rows that travel
+    up, a few times 8 m_q bytes per point, are left out; each kept entry
+    adds KEPT_BYTES."""
+    return panel_workers(n) * _worker_bytes(n)
 
 
 def compress(basis: SampletBasis, spec, cloud, tau):
@@ -228,13 +230,14 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     by the node's block Q, which mixes only the children's scaling rows.
     So C at the node consists of the children's diagonal blocks, computed
     by recursion, and D = T_a K_ab T_b^T, mixed only in those rows and
-    columns.  D is built in two passes over column panels into one |b| x
-    |a| buffer: pass 1 assembles K_ab a panel J of b's points at a time and
-    stores (T_a K_ab[:, J])^T as rows J of the buffer, pass 2 transforms
-    the buffer's columns I into D[I, :]^T.  A node with at most PANEL
-    points, or a leaf, transforms its kernel block on both sides at once.
-    Kernel entries are evaluated on the points in tree order, each block of
-    K once.
+    columns.  D is built by a second recursion, over pairs of clusters:
+    the larger of the two is split into its children, and only the
+    scaling rows and columns of each half's D travel up, to be mixed by
+    that cluster's Q.  A base pair, whose clusters each have at most PANEL
+    points or are leaves, and likewise a node of at most PANEL points or a
+    leaf, transforms its kernel block on both sides at once.  Kernel
+    entries are evaluated on the points in tree order, each block of K
+    once.
 
     An entry of C between two samplets is final once it is computed, so it
     is thresholded at tau then, always keeping the diagonal; the total and
@@ -243,22 +246,25 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     too.  The kept entries are mirrored, so the operator is exactly
     symmetric.
 
-    The panels of each pass run on a pool of ``panel_workers(n)`` threads
-    (numpy, BLAS and cdist release the interpreter lock); a single panel
-    runs in the calling thread.  Pass 1 panels write disjoint rows of the
-    buffer, pass 2 panels only read it, and all results are combined in a
-    fixed order, so the operator and its error estimate do not depend on
-    the number of workers.
+    The base pairs of each pair of siblings run on a pool of
+    ``panel_workers(n)`` threads (numpy, BLAS and cdist release the
+    interpreter lock), BATCH per worker at a time, while the calling thread
+    combines their results in a fixed order; so the operator and its error
+    estimate do not depend on the number of workers.
 
-    Before allocating, ``require_memory`` checks the estimated peak,
-    ``compress_peak_bytes``: the root's buffer plus the panels of every
-    worker; the sparse result is left out."""
+    ``require_memory`` checks the estimated peak before any kernel entry is
+    computed: ``compress_peak_bytes``, the blocks of every worker.  Then,
+    as entries are kept, it checks that plus KEPT_BYTES per entry kept so
+    far, which covers the kept entries until they are mirrored into the
+    result: a build that keeps too much is refused while it runs."""
     _check_threshold(tau)
     n = cloud.n
-    geometry.require_memory(compress_peak_bytes(n), f"compression at N = {n}")
-    with ThreadPoolExecutor(panel_workers(n)) as pool:
+    buffers = compress_peak_bytes(n)
+    geometry.require_memory(buffers, f"compression at N = {n}")
+    workers = panel_workers(n)
+    with ThreadPoolExecutor(workers) as pool:
         build = _Build(basis, spec, cloud.points[basis.tree.permutation], tau,
-                       pool.map)
+                       pool.map, BATCH * workers, buffers)
         build.node(basis.root_block, root=True)
     # sums and kept entries in a fixed order; _mirror frees the entries
     total_sq = sum(part[0] for part in build.parts)
@@ -271,15 +277,55 @@ def compress(basis: SampletBasis, spec, cloud, tau):
                               est_rel_frobenius_error=float(est))
 
 
+def _splits(c):
+    """Whether a pair may split cluster c: c has children and more than
+    PANEL points."""
+    return bool(c.children) and c.node.size > PANEL
+
+
+def _is_base(a, b):
+    """Whether pair (a, b) transforms its kernel block whole."""
+    return not (_splits(a) or _splits(b))
+
+
+def _splits_second(a, b):
+    """Whether pair (a, b) splits b: b is larger, or a is not split."""
+    return not _splits(a) or (_splits(b) and b.node.size > a.node.size)
+
+
+def _base_pairs(a, b):
+    """The base pairs below (a, b), in the order ``_Build._combine`` takes
+    them."""
+    if _is_base(a, b):
+        yield a, b
+    elif _splits_second(a, b):
+        yield from _base_pairs(b, a)
+    else:
+        for c in a.children:
+            yield from _base_pairs(c, b)
+
+
 class _Build:
     """State of one ``compress`` call: its inputs, with the points in tree
-    order, the thread pool's ``map`` and the thresholded parts of C, in the
-    order they are made."""
+    order, the thread pool's ``map`` and the number of base pairs handed to
+    it at a time, the bytes of the working buffers, and the thresholded
+    parts of C, in the order they are made, with their count of kept
+    entries."""
 
-    def __init__(self, basis, spec, points, tau, pool_map):
+    def __init__(self, basis, spec, points, tau, pool_map, batch, buffers):
         self.basis, self.spec, self.points, self.tau = basis, spec, points, tau
-        self.map = pool_map
+        self.map, self.batch, self.buffers = pool_map, batch, buffers
         self.parts = []
+        self.kept = 0
+
+    def keep(self, part):
+        """Append a thresholded part of C; refuse the build once its kept
+        entries would not fit beside the working buffers."""
+        self.parts.append(part)
+        self.kept += part[4].size
+        geometry.require_memory(
+            self.buffers + KEPT_BYTES * self.kept,
+            f"compression at N = {len(self.points)} with tau = {self.tau:g}")
 
     def node(self, blk, root=False):
         """Threshold the entries of C between samplets of blk's subtree, or
@@ -297,8 +343,8 @@ class _Build:
         m = blk.m_scal
         k = 0 if root else m  # the first row and column thresholded here
         glob = basis.local_order if root else blk.glob
-        self.parts.append(_threshold(C[k:, k:], glob[:C.shape[0] - k],
-                                     glob, self.tau, diagonal=True))
+        self.keep(_threshold(C[k:, k:], glob[:C.shape[0] - k], glob,
+                             self.tau, diagonal=True))
         return C[:m].copy()
 
     def _split(self, blk, S_a, S_b):
@@ -308,52 +354,68 @@ class _Build:
         a, b = blk.children
         ma, mb = a.m_scal, b.m_scal
         sa, sb = a.node.size, b.node.size
-        pts_a = self.points[a.node.lo : a.node.hi]
-        pts_b = self.points[b.node.lo : b.node.hi]
-        Bt = np.empty((sb, sa))  # D^T before T_b
-        basis, spec, tau = self.basis, self.spec, self.tau
-
-        def transform_panel(J):
-            TK = basis.transform_subtree(a, cross_matrix(spec, pts_a,
-                                                         pts_b[J]))
-            # the transposing store in strips: a source strip and its
-            # target stay in cache, where one store of the whole panel
-            # does not
-            for lo in range(0, sa, STRIP):
-                Bt[J, lo:lo + STRIP] = TK[lo:lo + STRIP].T
-
-        def threshold_panel(I):
-            X = basis.transform_subtree(b, Bt[:, I])  # D[I, :]^T
-            scal_cols = X[:mb].copy()  # D[I, :mb]^T
-            scal_rows = X[:, :max(ma - I.start, 0)].copy()  # D[:ma, :]^T
-            lo = max(I.start, ma)
-            part = _threshold(X[mb:, lo - I.start:], b.glob,
-                              a.glob[lo - ma:I.stop - ma], tau)
-            return part, scal_cols, scal_rows
-
-        self._run(transform_panel, sb)
-        results = self._run(threshold_panel, sa)
-        del Bt
-        parts, scal_cols, scal_rows = zip(*results)
-        self.parts.extend(parts)
+        R, Cs = self.pair(a, b)
         # the children's scaling rows of C before blk's block Q, in the
         # order of T_a (+) T_b
         Z = np.empty((ma + mb, sa + sb))
         Z[:ma, :sa] = S_a
-        Z[:ma, sa:] = np.concatenate(scal_rows, axis=1).T
-        Z[ma:, :sa] = np.concatenate(scal_cols, axis=1)
+        Z[:ma, sa:] = R
+        Z[ma:, :sa] = Cs.T
         Z[ma:, sa:] = S_b
         Y = blk.Q.T @ Z
         W = Y[:, np.r_[:ma, sa:sa + mb]] @ blk.Q
         return np.concatenate([W, Y[:, ma:sa], Y[:, sa + mb:]], axis=1)
 
-    def _run(self, fn, size):
-        """fn over the column panels of range(size), results in order."""
-        panels = [slice(lo, min(lo + PANEL, size))
-                  for lo in range(0, size, PANEL)]
-        if len(panels) == 1:
-            return [fn(panels[0])]
-        return list(self.map(fn, panels))
+    def pair(self, a, b):
+        """Scaling rows D[:m_a, :] and scaling columns D[:, :m_b] of
+        D = T_a K_ab T_b^T, for clusters a and b with no point in common,
+        in a's and b's local order; thresholds the entries of D between
+        samplets of a and samplets of b.  The base pairs run on the pool,
+        a batch at a time, while their results are combined in order."""
+        bases = list(_base_pairs(a, b))
+
+        def results():
+            for lo in range(0, len(bases), self.batch):
+                yield from self.map(self._base,
+                                    *zip(*bases[lo:lo + self.batch]))
+
+        return self._combine(a, b, results())
+
+    def _combine(self, a, b, results):
+        """``pair`` from the results of its base pairs, in order.
+
+        Splits a, the larger cluster on a tie, into its children a_i: the
+        rows of D are then Q_a^T [D_1[:m_1]; D_2[:m_2]], which hold a's
+        scaling rows and own samplets, followed by the samplet rows of each
+        D_i = T_{a_i} K_{a_i b} T_b^T.  Splitting b is splitting the first
+        cluster of (b, a), whose D is the transpose."""
+        if _is_base(a, b):
+            R, Cs, part = next(results)
+            self.keep(part)
+            return R, Cs
+        if _splits_second(a, b):
+            R, Cs = self._combine(b, a, results)
+            return Cs.T, R.T
+        halves = [self._combine(c, b, results) for c in a.children]
+        ma, mb = a.m_scal, b.m_scal
+        Y = a.Q.T @ np.concatenate([R for R, _ in halves])
+        self.keep(_threshold(Y[ma:, mb:], a.glob[:a.n_samplets], b.glob,
+                             self.tau))
+        return Y[:ma], np.concatenate(
+            [Y[:, :mb]] + [Cs[c.m_scal:] for c, (_, Cs) in
+                           zip(a.children, halves)])
+
+    def _base(self, a, b):
+        """``pair`` from the kernel block of a and b, transformed on both
+        sides at once; the thresholded part is returned, not kept."""
+        basis = self.basis
+        K = cross_matrix(self.spec, self.points[a.node.lo : a.node.hi],
+                         self.points[b.node.lo : b.node.hi])
+        Dt = basis.transform_subtree(b, basis.transform_subtree(a, K).T)
+        ma, mb = a.m_scal, b.m_scal
+        part = _threshold(Dt[mb:, ma:], b.glob, a.glob, self.tau)
+        # copies, so that the block is freed
+        return Dt[:, :ma].T.copy(), Dt[:mb].T.copy(), part
 
 
 def _check_threshold(tau):

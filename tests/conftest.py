@@ -6,6 +6,8 @@ dense factorizations, field evaluations by naive double loops, and the
 two-sided samplet transform by products with the explicit matrix T.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ from sampletbp import CompressedOperator
 def dense_op(A):
     """Wrap a dense matrix as an uncompressed operator (tau = 0)."""
     return CompressedOperator.from_dense(np.asarray(A, dtype=float), tau=0.0)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def two_sided(basis, K):

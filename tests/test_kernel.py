@@ -1,4 +1,3 @@
-import tracemalloc
 from math import exp, sqrt
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
+from conftest import traced_peak
 from sampletbp import (BudgetError, KernelSpec, PointCloud, assemble_dense,
                        evaluate, grid_eval)
 from sampletbp.bench import GRID_CHUNK
@@ -20,16 +20,6 @@ RADIAL = [KernelSpec("matern32", length=0.25),
 TENSOR = KernelSpec("tensor", components=(
     (KernelSpec("matern32", length=0.2), (0, 1)),
     (KernelSpec("periodic", length=1.0, dim_scaling=False), (2,))))
-
-
-def traced_peak(fn):
-    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestEvaluate:

@@ -2,7 +2,6 @@ import os
 import struct
 import tempfile
 import threading
-import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,13 +10,14 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_op, random_spd, two_sided
+from conftest import dense_op, random_spd, traced_peak, two_sided
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        PointCloud, assemble_dense, build_cluster_tree,
                        build_samplet_basis, compress, estimate_lipschitz)
 from sampletbp.kernel import cross_matrix
-from sampletbp.operator import (PANEL, PANEL_COPIES, OperatorError,
-                                compress_peak_bytes, panel_workers)
+from sampletbp.operator import (KEPT_BYTES, PANEL, PANEL_COPIES,
+                                OperatorError, compress_peak_bytes,
+                                panel_workers)
 
 
 MATERN = KernelSpec("matern32", length=0.25)
@@ -126,26 +126,36 @@ class TestCompress:
         # leaves of 20 points and, a level deeper, of 11 and 10 points,
         # which have no samplets
         (656, 3, 20),
-    ], ids=["uneven-children", "leaf-depths"])
+        # the root's children split over two levels in their pair
+        (4 * PANEL + 3, 1, None),
+    ], ids=["uneven-children", "leaf-depths", "pair-levels"])
     def test_recursion_matches_dense_oracle(self, rng, n, q, leaf_capacity):
         check_against_dense_oracle(*make_setup(rng, n, q=q,
                                                leaf_capacity=leaf_capacity))
 
     def test_peak_memory_below_dense(self, rng, monkeypatch):
-        # the largest buffer is the root's N/2 x N/2 block, not N x N.  At
-        # this N a worker's panel is a quarter of N^2 too, so one worker;
-        # q = 3 as in the benchmarks, where the kept entries are 14 % of N^2
+        # the largest buffers are the kernel blocks of at most PANEL x PANEL
+        # points and their transforms, not N x N, and the peak is within
+        # the estimate: the blocks plus KEPT_BYTES per kept entry; q = 3 as
+        # in the benchmarks, where the kept entries are 14 % of N^2
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n, q=3)
         monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 1)
-        tracemalloc.start()
-        try:
-            compress(basis, MATERN, cloud, tau=1e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ops = []
+        peak = traced_peak(lambda: ops.append(
+            compress(basis, MATERN, cloud, tau=1e-4)))
+        kept = (ops[0].nnz + n) // 2  # the diagonal and one of each pair
         assert peak < 8 * n * n
-        assert peak <= compress_peak_bytes(n)
+        assert peak <= compress_peak_bytes(n) + KEPT_BYTES * kept
+
+    def test_peak_memory_below_root_block(self, rng, monkeypatch):
+        # the N/2 x N/2 block between the root's children alone takes 2 N^2
+        # bytes; the build holds blocks of pairs of smaller clusters
+        n = 8 * PANEL
+        cloud, basis = make_setup(rng, n, q=3)
+        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 1)
+        peak = traced_peak(lambda: compress(basis, MATERN, cloud, tau=1e-4))
+        assert peak < 2 * n * n
 
     def test_parallel_matches_serial(self, rng, monkeypatch):
         # three panels: the operator does not depend on the worker count
@@ -166,52 +176,64 @@ class TestCompress:
     def test_worker_failure_propagates(self, rng, monkeypatch):
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n)
-        # the second column panel of the root's first pass: the kernel is
-        # evaluated on the points in tree order, columns from the right child
-        right = basis.tree.root.children[1]
-        second = cloud.points[basis.tree.permutation][right.lo + PANEL:right.hi]
+        # the kernel block of one base pair below the root's children, the
+        # first child of the left and the second child of the right, which
+        # runs on the pool beside its sibling pair; points in tree order
+        left, right = basis.tree.root.children
+        pts = cloud.points[basis.tree.permutation]
+        block = [pts[c.lo:c.hi] for c in (left.children[0],
+                                          right.children[1])]
+
+        def is_block(xs, ys):
+            return any(np.array_equal(xs, p) and np.array_equal(ys, q)
+                       for p, q in (block, block[::-1]))
 
         def failing(spec, xs, ys):
-            if np.array_equal(ys, second):
-                raise RuntimeError("second panel failed")
+            if is_block(xs, ys):
+                raise RuntimeError("base pair failed")
             return cross_matrix(spec, xs, ys)
 
         def poisoned(spec, xs, ys):
             K = cross_matrix(spec, xs, ys)
-            if np.array_equal(ys, second):
+            if is_block(xs, ys):
                 K[3, 5] = np.nan
             return K
 
         monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 3)
         threads = threading.active_count()
         monkeypatch.setattr("sampletbp.operator.cross_matrix", failing)
-        with pytest.raises(RuntimeError, match="second panel failed"):
+        with pytest.raises(RuntimeError, match="base pair failed"):
             compress(basis, MATERN, cloud, tau=1e-4)
         assert threading.active_count() == threads
-        # a NaN kernel entry reaches every row of C: pass 2 refuses it
+        # a NaN kernel entry reaches the samplet entries of its base pair,
+        # whose threshold refuses it
         monkeypatch.setattr("sampletbp.operator.cross_matrix", poisoned)
         with pytest.raises(OperatorError, match="non-finite"):
             compress(basis, MATERN, cloud, tau=1e-4)
         assert threading.active_count() == threads
 
     def test_worker_count(self, monkeypatch):
-        n = 8 * PANEL  # the root's passes run over 4 panels of N/2 points
+        n = 8 * PANEL
+        memory = "sampletbp.geometry.physical_memory"
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr("sampletbp.geometry.physical_memory",
-                            lambda: 2**40)
-        assert panel_workers(n) == 4  # one per panel
-        assert panel_workers(PANEL) == 1
-        half = n // 2
-        per_worker = 8 * half * PANEL_COPIES * PANEL
-        monkeypatch.setattr("sampletbp.geometry.physical_memory",
-                            lambda: 8 * half * half + 2 * per_worker + 1)
+        monkeypatch.setattr(memory, lambda: 2**40)
+        assert panel_workers(n) == 8  # one per core
+        per_worker = 8 * PANEL_COPIES * PANEL * PANEL
+        monkeypatch.setattr(memory, lambda: 2 * per_worker + 1)
         assert panel_workers(n) == 2  # as many as memory holds
-        assert compress_peak_bytes(n) == 8 * half * half + 2 * per_worker
+        assert compress_peak_bytes(n) == 2 * per_worker
+        # a cloud of at most PANEL points has blocks of N x N points
+        assert panel_workers(PANEL // 2) == 8
+        monkeypatch.setattr(memory, lambda: 1)
+        assert panel_workers(n) == 1
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(memory, lambda: 2**40)
         assert panel_workers(n) == 1
 
     def test_memory_budget(self, rng, monkeypatch):
-        # the estimate is checked before any kernel entry is computed
+        # the estimate is checked before any kernel entry is computed; with
+        # one core, as a smaller machine first drops workers
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         cloud, basis = make_setup(rng, 32)
         need = compress_peak_bytes(32)
         memory = "sampletbp.geometry.physical_memory"
@@ -221,8 +243,24 @@ class TestCompress:
                       lambda *args, **kw: pytest.fail("assembled"))
             with pytest.raises(BudgetError, match="physical memory"):
                 compress(basis, MATERN, cloud, tau=1e-4)
-        monkeypatch.setattr(memory, lambda: need)
+        # and the entries it keeps, all 32 * 33 / 2 of them at most
+        monkeypatch.setattr(memory, lambda: need + KEPT_BYTES * 32 * 33 // 2)
         assert compress(basis, MATERN, cloud, tau=1e-4).shape == (32, 32)
+
+    def test_kept_entries_budget(self, rng, monkeypatch):
+        # memory for the working buffers and the entries kept at tau 1e-4,
+        # but not for the N (N + 1) / 2 entries kept at tau 0: that build
+        # is refused while it runs
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n)
+        op = compress(basis, MATERN, cloud, tau=1e-4)
+        kept = (op.nnz + n) // 2  # the diagonal and one of each mirror pair
+        have = compress_peak_bytes(n) + KEPT_BYTES * kept
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: have)
+        with pytest.raises(BudgetError, match="tau = 0 needs"):
+            compress(basis, MATERN, cloud, tau=0.0)
+        assert compress(basis, MATERN, cloud, tau=1e-4).nnz == op.nnz
 
 
 class TestMatvec:
