@@ -317,15 +317,15 @@ class _Build:
         self.map, self.batch, self.buffers = pool_map, batch, buffers
         self.parts = []
         self.kept = 0
+        self.what = f"compression at N = {len(points)} with tau = {tau:g}"
 
     def keep(self, part):
         """Append a thresholded part of C; refuse the build once its kept
         entries would not fit beside the working buffers."""
         self.parts.append(part)
         self.kept += part[4].size
-        geometry.require_memory(
-            self.buffers + KEPT_BYTES * self.kept,
-            f"compression at N = {len(self.points)} with tau = {self.tau:g}")
+        geometry.require_memory(self.buffers + KEPT_BYTES * self.kept,
+                                self.what)
 
     def node(self, blk, root=False):
         """Threshold the entries of C between samplets of blk's subtree, or

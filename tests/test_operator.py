@@ -117,7 +117,7 @@ class TestCompress:
         assert (pattern != pattern.T).nnz == 0
 
     def test_streamed_matches_dense_oracle(self, rng):
-        # several panels, the last one ragged
+        # several base pairs, of uneven sizes
         n = 2 * PANEL + 37
         check_against_dense_oracle(*make_setup(rng, n))
 
@@ -158,7 +158,8 @@ class TestCompress:
         assert peak < 2 * n * n
 
     def test_parallel_matches_serial(self, rng, monkeypatch):
-        # three panels: the operator does not depend on the worker count
+        # several base pairs: the operator does not depend on the worker
+        # count
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n)
         ops = []
@@ -222,7 +223,7 @@ class TestCompress:
         monkeypatch.setattr(memory, lambda: 2 * per_worker + 1)
         assert panel_workers(n) == 2  # as many as memory holds
         assert compress_peak_bytes(n) == 2 * per_worker
-        # a cloud of at most PANEL points has blocks of N x N points
+        # the blocks of PANEL / 2 points take a quarter as much memory
         assert panel_workers(PANEL // 2) == 8
         monkeypatch.setattr(memory, lambda: 1)
         assert panel_workers(n) == 1
