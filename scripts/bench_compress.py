@@ -40,13 +40,16 @@ def run_case(case, n):
     import numpy as np
     import scipy
 
-    from sampletbp import (BenchmarkCase, build_cluster_tree,
-                           build_samplet_basis, compress, generate)
+    from sampletbp import (BenchmarkCase, PointCloud, build_cluster_tree,
+                           build_samplet_basis, compress)
     from sampletbp.bench import default_leaf_capacity
     from sampletbp.operator import panel_workers
 
     spec = BenchmarkCase(case, n, seed=SEED)
-    cloud = generate(spec).cloud
+    # generate's first draw for every generator, without the tree and basis
+    # it builds, so that the first stage's peak RSS is the tree's own
+    cloud = PointCloud(np.random.default_rng(SEED).uniform(
+        -0.5, 0.5, (n, spec.dim)))
     stages = {}
 
     def stage(name, fn, *args):

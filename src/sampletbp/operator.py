@@ -25,6 +25,7 @@ class OperatorError(ValueError):
 _MAGIC = b"SMPK1"
 _HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
 GRAM_CHUNK = 256  # rows of a Gram block computed at a time
+BLOCK_CHUNK = 1 << 15  # entries searched at a time by diagonal_blocks
 
 
 @dataclass
@@ -72,9 +73,6 @@ class CompressedOperator:
             self._transposed = self._columns().T
         return self._transposed @ v
 
-    def diagonal(self):
-        return self.matrix.diagonal()
-
     def _columns(self):
         if self._csc is None:
             self._csc = self.matrix.tocsc()
@@ -99,6 +97,50 @@ class CompressedOperator:
         for lo in range(0, G.shape[0], GRAM_CHUNK):
             (At[lo:lo + GRAM_CHUNK] @ B).toarray(out=G[lo:lo + GRAM_CHUNK])
         return G
+
+    def diagonal_blocks(self, sizes):
+        """Entries of the diagonal blocks of a square operator whose indices
+        are cut into consecutive runs of the given sizes, as one flat array:
+        the blocks in order, each row-major.
+
+        A row's entries inside its block are one run of its sorted column
+        indices, found by binary search.  The search keys cover about
+        BLOCK_CHUNK entries at a time, so no array as long as the nonzero
+        count is made."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        m = self.matrix
+        n = m.shape[0]
+        if m.shape[1] != n or sizes.sum() != n or np.any(sizes < 0):
+            raise OperatorError("diagonal blocks must tile a square operator")
+        if not m.has_canonical_format:
+            m = m.copy()
+            m.sum_duplicates()
+        size_of = np.repeat(sizes, sizes)  # index -> size of its block
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # -> block start
+        # index i's entry in column j lands at out[row_at[i] + j - first[i]]
+        row_at = np.cumsum(size_of) - size_of
+        out = np.zeros(int(size_of.sum()))
+        indptr = m.indptr
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(indptr, indptr[lo] + BLOCK_CHUNK,
+                                     side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            a, b = indptr[lo], indptr[hi]
+            rows = np.arange(lo, hi, dtype=np.int64)
+            # row-major keys row * n + column, sorted as the entries are
+            key = np.repeat(rows * n, np.diff(indptr[lo:hi + 1]))
+            key += m.indices[a:b]
+            begin = rows * n + first[lo:hi]
+            at = np.searchsorted(key, begin)
+            count = np.searchsorted(key, begin + size_of[lo:hi]) - at
+            pos = (np.repeat(at - np.cumsum(count) + count, count)
+                   + np.arange(int(count.sum())))
+            cols = m.indices[a:b][pos]
+            out[np.repeat(row_at[lo:hi] - first[lo:hi], count) + cols] = \
+                m.data[a:b][pos]
+            lo = hi
+        return out
 
     def to_dense(self):
         return self.matrix.toarray()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .geometry import require_memory
 from .operator import CompressedOperator, estimate_lipschitz
@@ -35,6 +36,22 @@ DAMP_STEPS = 8  # Newton step lengths 1, 1/2, ..., 2**-7 tried before CD
 # estimate is at or above the measured peak RSS of the whole process (7.9
 # blocks at most)
 NEWTON_COPIES = 9
+# the coarse block of ridge_cg's scaling holds the coarsest whole levels of
+# at most COARSE samplets: for q = 3 in 2-D, levels 0-4, 320 coefficients at
+# every N.  Caps of 0, 160, 512, 1024 and 2048 (coarse blocks of 0, 160,
+# 320, 640 and 1280) took 77, 18, 11, 6 and 4 CG iterations and 59, 33, 25,
+# 31 and 75 ms per solve on cartoon at N = 6000, and 62, 13, 9, 5 and 4
+# iterations and 95, 49, 46, 50 and 96 ms on spss at N = 10^4 (seed 1,
+# lam = 2e-5 N, 2-core host): a larger block costs more to factor than the
+# iterations it saves
+COARSE = 512
+# peak memory of ridge_cg's block scaling: SCALING_COPIES float64 arrays
+# as long as the blocks' entries, c^2 for the coarse block plus s^2 for each
+# finer one (tracemalloc: 10.0 for the diagonal alone, where every block
+# has one index and per-index arrays dominate, at N = 10^5 and 10^6; 2.3 to
+# 3.2 with a basis, for spss at N = 2000 and 10^4 and cartoon at N = 6000).
+# The search keys of diagonal_blocks, about 1 MiB, are left out
+SCALING_COPIES = 12
 
 
 @dataclass
@@ -155,9 +172,96 @@ def _finish(method, op, h, beta, w, iterations, residual_inf, t0, basis=None,
 
 # -- ridge regression -------------------------------------------------------
 
+def _scaling_blocks(basis, n):
+    """The diagonal blocks of ridge_cg's scaling as (c, sizes): the coarse
+    block [0, c), then consecutive finer blocks of the given sizes.
+
+    With a basis the coarse block holds every samplet of the coarsest
+    levels, up to COARSE coefficients, and each finer block one cluster's
+    own samplets, a run of the breadth-first output order; without one
+    there is no coarse block and every index is a block of its own."""
+    if basis is None:
+        return 0, np.ones(n, dtype=np.int64)
+    ends = np.searchsorted(basis.levels, np.arange(basis.levels[-1] + 1),
+                           side="right")
+    c = int(ends[ends <= COARSE].max(initial=0))
+    cuts = [blk.out_start for blk in basis.blocks_bfs
+            if blk.n_samplets and blk.out_start > c]
+    return c, np.diff(np.unique([c, *cuts, n]))
+
+
+def _invert_spd(G):
+    """Overwrite a stack of symmetric positive definite matrices with their
+    inverses (L^-1)^T L^-1, from their Cholesky factors L.  L^-1 overwrites
+    L by forward substitution, a row at a time over the whole stack: row i
+    of L^-1 needs row i of L and the rows of L^-1 above it."""
+    L = np.linalg.cholesky(G)
+    for i in range(L.shape[-1]):
+        d = L[:, i, i, None]
+        L[:, i, :i] = -(L[:, i, None, :i] @ L[:, :i, :i])[:, 0] / d
+        L[:, i, i] = 1.0 / d[:, 0]
+    np.matmul(np.swapaxes(L, 1, 2), L, out=G)
+
+
+def _block_scaling(op, lam, basis):
+    """v -> B^-1 v for B the block diagonal of K^Sigma + lam I over the
+    blocks of ``_scaling_blocks``: two triangular solves with the coarse
+    block's Cholesky factor, and one sparse product with the finer blocks'
+    inverses, which are factored together, a stack per block size."""
+    n = op.n_cols
+    c, sizes = _scaling_blocks(basis, n)
+    size_of = np.repeat(sizes, sizes)  # finer index -> size of its block
+    fine = int(size_of.sum())  # entries of the finer blocks
+    require_memory(8 * SCALING_COPIES * (c * c + fine),
+                   f"the block scaling of ridge_cg at N = {n}")
+    blocks = op.diagonal_blocks(np.concatenate([[c], sizes]))
+    inv = blocks[c * c:]
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    try:
+        for s in np.unique(sizes):
+            at = offsets[sizes == s, None] + np.arange(s * s)
+            G = inv[at].reshape(-1, s, s)
+            G[:, np.arange(s), np.arange(s)] += lam
+            _invert_spd(G)
+            inv[at] = G.reshape(at.shape)
+        if c:
+            A = blocks[:c * c].reshape(c, c)
+            A[np.diag_indices(c)] += lam
+            # U = L^T is column-major, as dtrsv takes it.  numpy factors,
+            # not scipy: scipy's first factorization in a process raised
+            # cartoon_ridge's peak RSS by 1.6 MB, while numpy's library is
+            # already in use by the build
+            U = np.linalg.cholesky(A).T
+    except np.linalg.LinAlgError:
+        raise SolverError("a diagonal block of K + lam I is not positive "
+                          "definite; block scaling unusable") from None
+    # row i of a block of size s starting at index f holds columns f to
+    # f + s - 1: the CSR structure of the finer blocks' inverses
+    indptr = np.concatenate([np.zeros(c + 1, np.int64), np.cumsum(size_of)])
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes) + c
+    indices = np.repeat(first - indptr[c:-1], size_of).astype(
+        scipy.sparse.get_index_dtype(maxval=n))
+    indices += np.arange(fine, dtype=indices.dtype)
+    finer = scipy.sparse.csr_matrix((inv, indices, indptr), shape=(n, n))
+
+    def apply(v):
+        z = finer @ v
+        if c:
+            y = scipy.linalg.blas.dtrsv(U, v[:c], trans=1)  # L y = v
+            z[:c] = scipy.linalg.blas.dtrsv(U, y)  # L^T z = y
+        return z
+
+    return apply
+
+
 def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
-    """CG for (K^Sigma + lam I) beta = h^Sigma, optional Jacobi scaling;
-    starts from zero and stops after at most 10 N iterations."""
+    """CG for (K^Sigma + lam I) beta = h^Sigma; starts from zero and stops
+    after at most 10 N iterations.
+
+    ``diagonal_scaling`` preconditions with the block diagonal of
+    K^Sigma + lam I (``_scaling_blocks``): with a basis, one dense block over
+    the coarsest levels and one block per finer cluster's samplets; without
+    one, the diagonal alone, which is Jacobi scaling."""
     t0 = time.perf_counter()
     h = _finite_data(h_sigma)
     n = h.shape[0]
@@ -167,16 +271,15 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
     def apply_A(v):
         return op.matvec(v) + lam * v
 
-    inv_diag = None
     if diagonal_scaling:
-        diag = op.diagonal() + lam
-        if np.any(diag <= 0):
-            raise SolverError("nonpositive diagonal; Jacobi scaling unusable")
-        inv_diag = 1.0 / diag
+        scale = _block_scaling(op, lam, basis)
+    else:
+        def scale(v):
+            return v
 
     x = np.zeros(n)
     r = h - apply_A(x)
-    z = r * inv_diag if inv_diag is not None else r
+    z = scale(r)
     p = z.copy()
     rz = float(r @ z)
     nh = float(np.linalg.norm(h))
@@ -197,7 +300,7 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
         gamma = rz / pAp
         x += gamma * p
         r -= gamma * Ap
-        z = r * inv_diag if inv_diag is not None else r
+        z = scale(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -619,7 +722,8 @@ def _newton_path(method, op, h_sigma, w, cfg, basis, mu):
 
 
 # solver name -> (op, h_sigma, w, cfg, basis) -> SolveReport; ridge ignores w,
-# solves with lam = cfg.lam * N and always uses Jacobi scaling
+# solves with lam = cfg.lam * N and always uses the block scaling of
+# ridge_cg (the diagonal alone where there is no basis)
 SOLVERS = {
     "ridge": lambda op, h, w, cfg, basis: ridge_cg(
         op, h, cfg.lam * op.shape[1], tol=cfg.tol, basis=basis,

@@ -41,7 +41,7 @@ def check_against_dense_oracle(cloud, basis):
     op = compress(basis, MATERN, cloud, tau=tau)
     assert (op.matrix != op.matrix.T).nnz == 0
     assert op.matrix.has_canonical_format
-    assert np.all(op.diagonal() != 0.0)
+    assert np.all(op.matrix.diagonal() != 0.0)
     sym = 0.5 * (dense + dense.T)
     mask = np.abs(sym) >= tau
     np.fill_diagonal(mask, True)
@@ -108,7 +108,7 @@ class TestCompress:
     def test_diagonal_kept(self, rng):
         cloud, basis = make_setup(rng, 256)
         op = compress(basis, MATERN, cloud, tau=1e-1)
-        assert np.all(op.diagonal() != 0.0)
+        assert np.all(op.matrix.diagonal() != 0.0)
 
     def test_pattern_symmetric(self, rng):
         cloud, basis = make_setup(rng, 256)
@@ -352,6 +352,36 @@ class TestGram:
         whole = np.asarray((A.T @ B).todense())
         monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK", 7)
         assert np.array_equal(op.gram_submatrix(rows, cols), whole)
+
+
+class TestDiagonalBlocks:
+    @pytest.mark.parametrize("chunk", [5, 1 << 16])
+    def test_matches_dense_slices(self, rng, monkeypatch, chunk):
+        # a thresholded operator, so some block entries are not stored; a
+        # chunk of 5 entries is shorter than most rows
+        monkeypatch.setattr("sampletbp.operator.BLOCK_CHUNK", chunk)
+        cloud, basis = make_setup(rng, 300)
+        op = compress(basis, MATERN, cloud, tau=1e-3)
+        sizes = [40, 1, 3, 0, 100] + [4] * 39
+        dense = op.to_dense()
+        ref, lo = [], 0
+        for s in sizes:
+            ref.append(dense[lo:lo + s, lo:lo + s].ravel())
+            lo += s
+        assert np.array_equal(op.diagonal_blocks(sizes), np.concatenate(ref))
+
+    def test_duplicate_entries_summed(self):
+        # a matrix not in canonical form: entries in any order, one twice
+        m = scipy.sparse.csr_matrix(
+            (np.array([2.0, 1.0, 5.0, 0.5]), np.array([1, 0, 1, 1]),
+             np.array([0, 2, 4])), shape=(2, 2))
+        op = CompressedOperator(m, 0.0, 0.0)
+        assert np.array_equal(op.diagonal_blocks([2]), [1.0, 2.0, 0.0, 5.5])
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [3, 3, -1], [6]])
+    def test_tiling_checked(self, sizes):
+        with pytest.raises(OperatorError, match="tile"):
+            dense_op(np.eye(5)).diagonal_blocks(sizes)
 
 
 class TestLipschitz:

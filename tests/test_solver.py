@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (cd_lasso, dense_op, kkt_violation, lasso_objective,
                       random_spd)
-from sampletbp import (BudgetError, CompressedOperator, KernelSpec, PointCloud,
-                       SolverConfig, build_cluster_tree, build_samplet_basis,
-                       compress, fista, ir_mrssn, mrssn, ridge_cg,
+from sampletbp import (BenchmarkCase, BudgetError, CompressedOperator,
+                       KernelSpec, PointCloud, SolverConfig,
+                       build_cluster_tree, build_samplet_basis, compress,
+                       fista, generate, ir_mrssn, mrssn, ridge_cg,
                        soft_shrinkage, solve_multi_kernel)
 from sampletbp import solver
 from sampletbp.solver import SolverError, _cd_burst, _GramCache
@@ -71,6 +72,60 @@ class TestRidgeCG:
         ref = np.linalg.solve(op.to_dense() + lam * np.eye(n), h)
         assert np.linalg.norm(rep.beta - ref) / np.linalg.norm(ref) <= 1e-6
         assert np.abs(rep.alpha - basis.inverse(rep.beta)).max() <= 1e-12
+
+    @pytest.mark.parametrize("generator", ["spss", "cartoon"])
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_block_scaling_few_iterations(self, generator, n):
+        # the multilevel block scaling: at most 15 CG iterations at the
+        # default tol (diagonal scaling alone took 85 to 107 here), and the
+        # scaled solve reaches the unscaled solution
+        data = generate(BenchmarkCase(generator, n))
+        basis = data.basis
+        op = compress(basis, MATERN, data.cloud, tau=1e-4)
+        h = basis.forward(data.noisy)
+        lam = 2e-5 * n
+        rep = ridge_cg(op, h, lam, diagonal_scaling=True, basis=basis)
+        assert rep.iterations <= 15
+        scaled = ridge_cg(op, h, lam, tol=1e-10, diagonal_scaling=True,
+                          basis=basis)
+        plain = ridge_cg(op, h, lam, tol=1e-10, basis=basis)
+        assert np.linalg.norm(scaled.beta - plain.beta) \
+            <= 1e-6 * np.linalg.norm(plain.beta)
+
+    def test_diagonal_scaling_without_basis(self, rng):
+        # without a basis every block is one index: Jacobi scaling, whose
+        # solution is the dense solve's
+        n = 40
+        A = random_spd(n, rng) * rng.uniform(0.1, 10.0, n)
+        A = (A + A.T) / 2 + n * np.eye(n)
+        h = rng.standard_normal(n)
+        rep = ridge_cg(dense_op(A), h, 0.3, tol=1e-12, diagonal_scaling=True)
+        ref = np.linalg.solve(A + 0.3 * np.eye(n), h)
+        assert np.linalg.norm(rep.beta - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_indefinite_block_rejected(self, rng):
+        A = random_spd(6, rng, ridge=1.0)
+        A[2, 2] = -1.0
+        with pytest.raises(SolverError, match="not positive definite"):
+            ridge_cg(dense_op(A), np.ones(6), 0.5, diagonal_scaling=True)
+
+    def test_block_scaling_memory_limit(self, rng, monkeypatch):
+        # N = 256 with q = 1 fits in one coarse block of 256 x 256; without
+        # a basis there are 256 blocks of one entry.  The refusal comes
+        # before any block entry is read
+        n = 256
+        cloud, basis, op = kernel_setup(rng, n)
+        h = basis.forward(rng.standard_normal(n))
+        memory = "sampletbp.geometry.physical_memory"
+        for b, entries in ((basis, n * n), (None, n)):
+            need = 8 * solver.SCALING_COPIES * entries
+            monkeypatch.setattr(memory, lambda: need)
+            ridge_cg(op, h, 0.1, diagonal_scaling=True, basis=b)
+            monkeypatch.setattr(memory, lambda: need - 1)
+            with monkeypatch.context() as m:
+                m.setattr(CompressedOperator, "diagonal_blocks", None)
+                with pytest.raises(BudgetError, match="physical memory"):
+                    ridge_cg(op, h, 0.1, diagonal_scaling=True, basis=b)
 
     def test_large_lambda_asymptotics(self, rng):
         A = random_spd(20, rng)
