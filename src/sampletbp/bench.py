@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class BenchmarkCase:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise BenchError(f"unknown generator: {self.generator}")
-        if self.noise_level < 0:
-            raise BenchError("noise_level must be nonnegative")
+        if not 0 <= self.noise_level < inf:
+            raise BenchError("noise_level must be nonnegative and finite")
         if self.generator == "spms" and self.n < 100:
             raise BenchError("spms needs at least 100 points")
 

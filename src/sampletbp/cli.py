@@ -28,7 +28,8 @@ EXIT_SOLVER = 5
 
 _EPILOG = """\
 exit codes: 0 success, 2 usage error, 3 malformed input file or --grid,
-4 estimated peak memory above physical memory, 5 solver failure.
+--tau, --noise or --length, 4 estimated peak memory above physical
+memory, 5 solver failure.
 
 config files are plain text `key=value` lines (# comments allowed) that
 declare kernels only, with consecutive indices for dictionaries of several
@@ -300,11 +301,11 @@ def build_parser():
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--kernel", help="kernel family override")
         sp.add_argument("--length", type=float, help="correlation length")
-        sp.add_argument("--q", type=int, default=3,
-                        help="vanishing moments are of order q+1")
-        sp.add_argument("--tau", type=float, default=1e-4,
-                        help="a-posteriori compression threshold")
         if solver:
+            sp.add_argument("--q", type=int, default=3,
+                            help="vanishing moments are of order q+1")
+            sp.add_argument("--tau", type=float, default=1e-4,
+                            help="a-posteriori compression threshold")
             sp.add_argument("--lambda", dest="lam", type=float, default=2e-5,
                             help="ridge regularization as lambda / N")
             sp.add_argument("--weight", type=float, default=2e-5)

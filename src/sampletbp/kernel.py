@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -41,8 +41,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise KernelError(f"unknown kernel family: {self.family}")
-        if self.family != "tensor" and self.length <= 0:
-            raise KernelError("correlation length must be positive")
+        if self.family != "tensor" and not 0 < self.length < inf:
+            raise KernelError("correlation length must be positive and finite")
         if self.family == "tensor" and not self.components:
             raise KernelError("tensor kernel needs components")
 

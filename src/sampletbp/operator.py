@@ -299,6 +299,8 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     as entries are kept, it checks that plus KEPT_BYTES per entry kept so
     far, which covers the kept entries until they are mirrored into the
     result: a build that keeps too much is refused while it runs."""
+    if cloud.n != basis.n:
+        raise OperatorError("basis and cloud sizes differ")
     _check_threshold(tau)
     n = cloud.n
     buffers = compress_peak_bytes(n)

@@ -88,8 +88,6 @@ class _Block:
     n_samplets: int = 0
     pre: int = -1  # row of the first samplet output in the root's local order
     glob: np.ndarray = None  # type: ignore  # local row m_scal + j -> global
-    sam_vectors: np.ndarray = None  # type: ignore  # (node.size, n_samplets)
-    sam_l1: np.ndarray = None  # type: ignore
 
 
 @dataclass
@@ -100,7 +98,6 @@ class SampletBasis:
     root_block: _Block
     blocks_bfs: list  # breadth-first list of _Block
     n_root_scaling: int
-    root_scaling_vectors: np.ndarray  # (N, n_root_scaling), tree order
     levels: np.ndarray  # global output index -> level (root scaling = 0)
     local_order: np.ndarray  # the root's local order -> global output index
 
@@ -173,7 +170,8 @@ class SampletBasis:
 
     def to_sparse(self):
         """T as a CSR matrix; row i is the coefficient vector of output i
-        scattered to original point order.  forward(v) == T @ v."""
+        scattered to original point order.  forward(v) == T @ v.  Formed
+        bottom-up from the Q blocks with the build's products, V Q."""
         n = self.n
         perm = self.tree.permutation
         rows, cols, vals = [], [], []
@@ -185,15 +183,37 @@ class SampletBasis:
             cols.append(perm[lo + i])
             vals.append(vectors[i, j])
 
-        emit(0, 0, self.root_scaling_vectors)
-        for blk in self.blocks_bfs:
+        def scaling(blk):
+            # emits blk's samplet vectors, returns its scaling vectors
+            Q, m = blk.Q, blk.m_scal
+            if blk.children:
+                V = _stack(blk.node, blk.children,
+                           [scaling(c) for c in blk.children])
+                sam, scal = V @ Q[:, m:], V @ Q[:, :m]
+            else:
+                sam, scal = Q[:, m:], Q[:, :m]
             if blk.n_samplets:
-                emit(blk.out_start, blk.node.lo, blk.sam_vectors)
+                emit(blk.out_start, blk.node.lo, sam)
+            return scal
+
+        emit(0, 0, scaling(self.root_block))
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def to_dense(self):
         return self.to_sparse().toarray()
+
+
+def _stack(node, child_blocks, vectors):
+    """The children's scaling vectors stacked block-diagonally: rows are the
+    node's points in tree order, columns the node's block inputs."""
+    V = np.zeros((node.size, sum(b.m_scal for b in child_blocks)))
+    off = 0
+    for b, W in zip(child_blocks, vectors):
+        lo = b.node.lo - node.lo
+        V[lo : lo + b.node.size, off : off + b.m_scal] = W
+        off += b.m_scal
+    return V
 
 
 def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> SampletBasis:
@@ -206,22 +226,18 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
     m_q = comb(q + d, d)
     alphas = multi_indices(d, q)
     pts_tree = cloud.points[tree.permutation]
+    scal = {}  # id(node) -> scaling vectors, until the parent's moments
 
     def moments(node, child_blocks):
         """Moment matrix M = P V of a block's inputs and V, the children's
-        scaling vectors stacked block-diagonally in tree order (None at a
-        leaf, where V is the identity)."""
+        scaling vectors stacked (None at a leaf, where V is the identity)."""
         if node.size < 1:
             raise SampletError("leaf with no points")
         P = moment_matrix(pts_tree[node.lo : node.hi], node.bbox, alphas)
         if not child_blocks:
             return P, None
-        V = np.zeros((node.size, sum(b.m_scal for b in child_blocks)))
-        off = 0
-        for b in child_blocks:
-            lo = b.node.lo - node.lo
-            V[lo : lo + b.node.size, off : off + b.m_scal] = b._V_scal
-            off += b.m_scal
+        V = _stack(node, child_blocks,
+                   [scal.pop(id(b.node)) for b in child_blocks])
         return P @ V, V
 
     # bottom-up, a level at a time, so that the QR factorizations of a
@@ -246,24 +262,15 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
         for i, (node, child_blocks, M, V) in enumerate(work):
             Q = Qs[i].copy()  # its own array, as an unstacked QR gives
             m_scal = min(m_q, M.shape[1])
-            if V is None:
-                V_scal = Q[:, :m_scal]
-                sam_vectors = np.ascontiguousarray(Q[:, m_scal:])
-            else:
-                V_scal = V @ Q[:, :m_scal]
-                sam_vectors = V @ Q[:, m_scal:]
-            blk = _Block(node=node, Q=Q, m_scal=m_scal, children=child_blocks,
-                         n_samplets=M.shape[1] - m_scal,
-                         sam_vectors=sam_vectors,
-                         sam_l1=np.abs(sam_vectors).sum(axis=0))
-            blk._V_scal = V_scal
-            blocks[id(node)] = blk
+            scal[id(node)] = Q[:, :m_scal] if V is None else V @ Q[:, :m_scal]
+            blocks[id(node)] = _Block(node=node, Q=Q, m_scal=m_scal,
+                                      children=child_blocks,
+                                      n_samplets=M.shape[1] - m_scal)
 
     # breadth-first output ordering: root scaling block, then samplets level
     # by level, within a level in tree order, within a node in build order
     blocks_bfs = [blocks[id(node)] for node in nodes]
     root_blk = blocks_bfs[0]
-    root_scaling_vectors = np.ascontiguousarray(root_blk._V_scal)
     n_root_scaling = root_blk.m_scal
     levels = np.empty(tree.n, dtype=np.int64)
     levels[:n_root_scaling] = 0
@@ -289,27 +296,18 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
         stack.extend(reversed(blk.children))
     for blk in blocks_bfs:
         blk.glob = local_order[blk.pre : blk.pre + blk.node.size - blk.m_scal]
-    for blk in blocks_bfs:
-        del blk._V_scal
 
     return SampletBasis(tree=tree, q=q, m_q=m_q, root_block=root_blk,
                         blocks_bfs=blocks_bfs, n_root_scaling=n_root_scaling,
-                        root_scaling_vectors=root_scaling_vectors, levels=levels,
-                        local_order=local_order)
+                        levels=levels, local_order=local_order)
 
 
 def coefficient_l1_profile(basis: SampletBasis):
     """Per-level maxima of the coefficient-vector 1-norms and a fitted growth
     constant for the model max_l1(j) ~ c * 2^((J - j) / 2).  Diagnostic."""
-    maxima = {}
-    root_l1 = np.abs(basis.root_scaling_vectors).sum(axis=0)
-    if root_l1.size:
-        maxima[0] = float(root_l1.max())
-    for blk in basis.blocks_bfs:
-        if blk.n_samplets:
-            lvl = blk.node.level
-            m = float(blk.sam_l1.max())
-            maxima[lvl] = max(maxima.get(lvl, 0.0), m)
+    l1 = np.asarray(abs(basis.to_sparse()).sum(axis=1)).ravel()
+    maxima = {int(j): float(l1[basis.levels == j].max())
+              for j in np.unique(basis.levels)}
     J = max(maxima)
     logs = [np.log2(m) - (J - j) / 2.0 for j, m in maxima.items() if m > 0]
     fitted_c = float(2.0 ** np.mean(logs)) if logs else 0.0

@@ -283,11 +283,20 @@ class TestBench:
             assert rc == EXIT_BUDGET
             assert not report.exists()
 
-    @pytest.mark.parametrize("tau", ["nan", "-1e-4"], ids=["nan", "negative"])
-    def test_bad_threshold_exit_code(self, tmp_path, tau):
+    @pytest.mark.parametrize("setting", [
+        "--tau=nan", "--tau=-1e-4", "--noise=nan", "--noise=inf",
+        "--noise=-0.1", "--length=inf", "--length=nan", "--length=0",
+    ], ids=["nan", "negative", "noise-nan", "noise-inf", "noise-negative",
+            "length-inf", "length-nan", "length-zero"])
+    def test_bad_threshold_exit_code(self, tmp_path, monkeypatch, setting):
+        # a threshold, noise level or correlation length out of range;
+        # noise and length are checked before the data are generated
+        if not setting.startswith("--tau"):
+            monkeypatch.setattr(cli, "generate",
+                                lambda case: pytest.fail("ran"))
         report = tmp_path / "report.json"
         rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1",
-                  f"--tau={tau}", "--report", str(report),
+                  setting, "--report", str(report),
                   "--table", str(tmp_path / "t.csv")])
         assert rc == EXIT_BAD_INPUT
         assert not report.exists()
@@ -417,7 +426,9 @@ def test_fit_and_bench_run_the_named_solver(tmp_path, rng, solver):
     ["--threads", "2", "info", "{csv}"],
     ["fit", "--data", "{csv}", "--diagonal-scaling"],
     ["eval", "--points", "{csv}", "--coefficients", "{csv}", "--budget", "5"],
-], ids=["threads", "diagonal-scaling", "budget"])
+    ["eval", "--points", "{csv}", "--coefficients", "{csv}", "--q", "2"],
+    ["eval", "--points", "{csv}", "--coefficients", "{csv}", "--tau", "0"],
+], ids=["threads", "diagonal-scaling", "budget", "eval-q", "eval-tau"])
 def test_removed_flags_are_usage_errors(argv, cloud_csv):
     assert run([a.format(csv=cloud_csv) for a in argv]) == EXIT_USAGE
 

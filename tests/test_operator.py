@@ -248,6 +248,16 @@ class TestCompress:
         monkeypatch.setattr(memory, lambda: need + KEPT_BYTES * 32 * 33 // 2)
         assert compress(basis, MATERN, cloud, tau=1e-4).shape == (32, 32)
 
+    @pytest.mark.parametrize("n_cloud", [40, 60])
+    def test_cloud_must_match_basis(self, rng, monkeypatch, n_cloud):
+        # a cloud of another size is refused before the memory estimate
+        _, basis = make_setup(rng, 50)
+        cloud = PointCloud(rng.uniform(-0.5, 0.5, (n_cloud, 2)))
+        monkeypatch.setattr("sampletbp.operator.compress_peak_bytes",
+                            lambda n: pytest.fail("estimated"))
+        with pytest.raises(OperatorError, match="sizes differ"):
+            compress(basis, MATERN, cloud, tau=1e-4)
+
     def test_kept_entries_budget(self, rng, monkeypatch):
         # memory for the working buffers and the entries kept at tau 1e-4,
         # but not for the N (N + 1) / 2 entries kept at tau 0: that build

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -112,14 +113,14 @@ class TestTransforms:
         assert np.abs(tail).max() <= 1e-10 * np.linalg.norm(v)
 
     def test_inverse_of_unit_is_coefficient_vector(self, rng):
-        _, basis = make_basis(rng.uniform(-1, 1, (90, 2)), 1)
+        # every row of T, formed from the Q blocks, against T^T e_k
+        n = 400
+        _, basis = make_basis(rng.uniform(-1, 1, (n, 2)), 3)
+        assert basis.depth >= 3
         T = basis.to_sparse()
         assert T.has_canonical_format  # sorted columns, no duplicates
-        for k in (0, 30, 89):
-            e = np.zeros(90)
-            e[k] = 1.0
-            omega = basis.inverse(e)
-            assert np.abs(omega - T[k].toarray().ravel()).max() <= 1e-14
+        omega = basis.inverse(np.eye(n))  # column k is row k of T
+        assert np.abs(omega.T - T.toarray()).max() <= 1e-14
 
     def test_round_trip(self, rng):
         _, basis = make_basis(rng.uniform(-1, 1, (333, 2)), 3)
@@ -210,6 +211,26 @@ class TestInvariants:
         assert nnz <= k * (J + 1) * 2 * m_q + m_q
 
 
+class TestMemory:
+    def test_basis_keeps_q_blocks_only(self, rng):
+        # the basis keeps its Q blocks, and the build frees a level's
+        # scaling vectors at the next level up: about 390 retained and 860
+        # peak bytes per point here; the bounds sit below the 1300 and 2180
+        # of a basis that also stores every samplet vector densely
+        n = 10_000
+        cloud = PointCloud(rng.uniform(-0.5, 0.5, (n, 2)))
+        tree = build_cluster_tree(cloud, 20)
+        tracemalloc.start()
+        try:
+            basis = build_samplet_basis(tree, cloud, 3)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.n == n
+        assert retained / n <= 700
+        assert peak / n <= 1400
+
+
 class TestL1Profile:
     def test_single_leaf_cauchy_schwarz(self, rng):
         _, basis = make_basis(rng.uniform(-1, 1, (8, 1)), 0, leaf_capacity=8)
@@ -224,6 +245,24 @@ class TestL1Profile:
         levels = sorted(prof["max_l1"])
         # coarser levels carry larger coefficient mass
         assert prof["max_l1"][levels[0]] >= prof["max_l1"][levels[-1]]
+
+    def test_matches_row_norms_of_inverse(self, rng):
+        # per-level maxima of T's row 1-norms, rows read off T^T e_k and
+        # grouped by the level of the block that owns them
+        n = 400
+        _, basis = make_basis(rng.uniform(-1, 1, (n, 2)), 3)
+        l1 = np.abs(basis.inverse(np.eye(n))).sum(axis=0)
+        expect = {0: l1[: basis.n_root_scaling].max()}
+        for blk in basis.blocks_bfs:
+            if blk.n_samplets:
+                lvl = blk.node.level
+                m = l1[blk.out_start : blk.out_start + blk.n_samplets].max()
+                expect[lvl] = max(expect.get(lvl, 0.0), m)
+        prof = coefficient_l1_profile(basis)
+        assert prof["max_l1"].keys() == expect.keys()
+        for lvl, m in expect.items():
+            assert abs(prof["max_l1"][lvl] - m) <= 1e-12 * m
+        assert prof["depth"] == max(expect)
 
     def test_single_point(self):
         _, basis = make_basis([[0.0]], 0)
