@@ -24,7 +24,9 @@ class OperatorError(ValueError):
 
 _MAGIC = b"SMPK1"
 _HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
-GRAM_CHUNK = 256  # rows of a Gram block computed at a time
+# entries of the dense chunk of selected columns that a Gram block fetch
+# multiplies at a time, and of the chunk's product: 16 GRAM_CHUNK bytes
+GRAM_CHUNK = 1 << 19
 BLOCK_CHUNK = 1 << 15  # entries searched at a time by diagonal_blocks
 
 
@@ -69,33 +71,48 @@ class CompressedOperator:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n_rows:
             raise OperatorError("matvec_transpose length mismatch")
-        if self._transposed is None:
-            self._transposed = self._columns().T
-        return self._transposed @ v
+        return self._transpose() @ v
 
     def _columns(self):
         if self._csc is None:
             self._csc = self.matrix.tocsc()
         return self._csc
 
-    def cols_matrix(self, idx):
-        """CSC matrix of the selected columns, in the given order."""
+    def _transpose(self):
+        if self._transposed is None:
+            self._transposed = self._columns().T
+        return self._transposed
+
+    def _column_indices(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_cols):
             raise OperatorError("column index out of range")
-        return self._columns()[:, idx]
+        return idx
+
+    def cols_matrix(self, idx):
+        """CSC matrix of the selected columns, in the given order."""
+        return self._columns()[:, self._column_indices(idx)]
 
     def gram_submatrix(self, rows_idx, cols_idx):
         """Dense Gram block of selected columns: (a, b) -> col_a . col_b.
 
-        Built GRAM_CHUNK rows at a time into the result, so that no sparse
-        copy of the whole block exists; a row's sums run in the same order
-        as in one product."""
-        At = self.cols_matrix(rows_idx).T  # CSR
-        B = self.cols_matrix(cols_idx).tocsr()  # as the product converts it
-        G = np.empty((At.shape[0], B.shape[1]))
-        for lo in range(0, G.shape[0], GRAM_CHUNK):
-            (At[lo:lo + GRAM_CHUNK] @ B).toarray(out=G[lo:lo + GRAM_CHUNK])
+        The rows of K^T selected by ``rows_idx``, gathered from the
+        transposed CSR, times the columns of K selected by ``cols_idx``
+        made dense: one sparse times dense product, taken in column chunks
+        of at most GRAM_CHUNK entries, whose products are no larger.  Each
+        entry is summed over K's rows in ascending order, as one sparse
+        product sums it; the dense chunk's zeros add only zero terms, so
+        the block is bitwise that product's."""
+        rows = self._column_indices(rows_idx)
+        cols = self._column_indices(cols_idx)
+        At = self._transpose()[rows]
+        K = self._columns()
+        step = max(1, GRAM_CHUNK // max(1, self.n_rows, rows.size))
+        if cols.size <= step:  # one chunk, whose product is the block
+            return At @ K[:, cols].toarray()
+        G = np.empty((rows.size, cols.size))
+        for lo in range(0, cols.size, step):
+            G[:, lo:lo + step] = At @ K[:, cols[lo:lo + step]].toarray()
         return G
 
     def diagonal_blocks(self, sizes):
@@ -492,7 +509,8 @@ def _threshold(X, rows, cols, tau, diagonal=False):
         d = X[diag]
         d = float(d @ d)
     total = 2.0 * float(np.einsum("ij,ij->", X, X)) - d
-    r, c = np.nonzero(keep)
+    # flat indices in row-major order, as np.nonzero gives them, but faster
+    r, c = np.divmod(np.flatnonzero(keep), X.shape[1])
     vals = X[r, c]
     # the dropped mass is summed directly: total minus kept would cancel
     X[r, c] = 0.0

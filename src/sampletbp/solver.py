@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .geometry import require_memory
-from .operator import CompressedOperator, estimate_lipschitz
+from .operator import GRAM_CHUNK, CompressedOperator, estimate_lipschitz
 
 
 class SolverError(RuntimeError):
@@ -132,6 +132,11 @@ def soft_shrinkage(v, w):
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise SolverError("shrinkage weights must be nonnegative")
+    return _shrink(v, w)
+
+
+def _shrink(v, w):
+    """soft_shrinkage of float arrays, weights not checked."""
     return np.sign(v) * np.maximum(0.0, np.abs(v) - w)
 
 
@@ -376,6 +381,39 @@ def fista(op, h_sigma, w, config=None, basis=None, mode="mr"):
 
 # -- semi-smooth Newton -----------------------------------------------------
 
+# The Newton step and the gamma rule call LAPACK directly, with the flags
+# and workspace that scipy.linalg's cho_factor, cho_solve and eigvalsh pass:
+# the results are bitwise theirs, without their checks and dispatch, which
+# cost more than the arithmetic on blocks of a few dozen columns
+
+def _spd_solve(A, b):
+    """x with A x = b, for symmetric positive definite A, by dpotrf and
+    dpotrs on A's upper triangle; A and b may be overwritten.  Raises
+    LinAlgError if the factorization fails."""
+    c, info = scipy.linalg.lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf returned info = {info}")
+    return scipy.linalg.lapack.dpotrs(c, b, lower=0, overwrite_b=1)[0]
+
+
+def _smallest_eigenvalue(A, workspace):
+    """The smallest eigenvalue of symmetric A, from its lower triangle, by
+    dsyevr with the workspace sizes of its query, kept in the dict
+    ``workspace`` by order: they set dsytrd's blocking and so the
+    rounding."""
+    n = A.shape[0]
+    if n not in workspace:
+        lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+        workspace[n] = int(lwork), int(liwork)
+    lwork, liwork = workspace[n]
+    w, _, _, _, info = scipy.linalg.lapack.dsyevr(
+        A, compute_v=0, range="I", il=1, iu=1, lower=1, lwork=lwork,
+        liwork=liwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr returned info = {info}")
+    return float(w[0])
+
+
 class _GammaState:
     """Gamma starts at 1/L and is re-estimated as the smallest eigenvalue of
     the active-set Gram matrix whenever the active set is nonempty and
@@ -385,6 +423,7 @@ class _GammaState:
     def __init__(self, op):
         self.gamma = 1.0 / estimate_lipschitz(op)
         self._key = None  # active set of the last estimate
+        self._workspace = {}  # order -> dsyevr's workspace sizes
 
     def maybe_update(self, active, M_aa):
         if M_aa.size == 0:
@@ -393,7 +432,7 @@ class _GammaState:
         if key == self._key:
             return  # same M_aa, same eigenvalue: gamma already reflects it
         self._key = key
-        eig_min = float(scipy.linalg.eigvalsh(M_aa, subset_by_index=[0, 0])[0])
+        eig_min = _smallest_eigenvalue(M_aa, self._workspace)
         # at or below the numerical-rank tolerance M_aa is singular and
         # eig_min is rounding noise: gamma keeps its value
         rank_tol = M_aa.shape[0] * np.finfo(float).eps * M_aa.diagonal().max()
@@ -409,8 +448,9 @@ class _GramCache:
     fetched from the operator, one ``gram_submatrix(S, new)`` call each
     time; the storage doubles when full, up to N columns.  A growth whose
     estimated peak, the storage plus NEWTON_COPIES blocks over every cached
-    column, exceeds the machine's physical memory raises ``BudgetError``
-    before anything is allocated.
+    column plus the fetch's dense column chunk and its product (16
+    GRAM_CHUNK bytes), exceeds the machine's physical memory raises
+    ``BudgetError`` before anything is allocated.
     """
 
     def __init__(self, op):
@@ -428,18 +468,20 @@ class _GramCache:
         """Dense Gram block M[rows, cols]; ``cols`` defaults to ``rows``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = rows if cols is None else np.asarray(cols, dtype=np.int64)
-        idx = np.concatenate([rows, cols])
-        new = np.unique(idx[self.slot[idx] < 0])
-        if new.size:
-            self._add(new)
-        return self.M[np.ix_(self.slot[rows], self.slot[cols])]
+        at_rows, at_cols = self.slot[rows], self.slot[cols]
+        if (at_rows < 0).any() or (at_cols < 0).any():
+            idx = np.concatenate([rows, cols])
+            self._add(np.unique(idx[self.slot[idx] < 0]))
+            at_rows, at_cols = self.slot[rows], self.slot[cols]
+        return self.M[at_rows[:, None], at_cols]  # np.ix_, without its checks
 
     def _add(self, new):
         lo, hi = self.size, self.size + new.size
         cap = self.M.shape[0]
         if hi > cap:
             cap = min(self.slot.size, max(hi, 2 * cap))
-        require_memory(8 * (cap * cap + NEWTON_COPIES * hi * hi),
+        require_memory(8 * (cap * cap + NEWTON_COPIES * hi * hi)
+                       + 16 * GRAM_CHUNK,
                        f"the Newton system over {hi} columns")
         if cap > self.M.shape[0]:
             M = np.empty((cap, cap))
@@ -606,7 +648,7 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
     for _ in range(max_newton):
         gamma = state.gamma
         u = beta + gamma * g
-        r = beta - soft_shrinkage(u, gamma * w)
+        r = beta - _shrink(u, gamma * w)
         r_inf = float(np.abs(r).max()) if n else 0.0
         if r_inf < tol:
             break
@@ -618,7 +660,7 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
             # the active set and residual are tied to gamma; redo both
             gamma = state.gamma
             u = beta + gamma * g
-            r = beta - soft_shrinkage(u, gamma * w)
+            r = beta - _shrink(u, gamma * w)
             is_active = np.abs(u) > gamma * w
             active = np.nonzero(is_active)[0]
             M_aa = cache.block(active)
@@ -634,10 +676,9 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
         f0 = 0.5 * float(res @ res) + float(np.abs(beta) @ w)
         t = 0.0
         try:
-            cho = scipy.linalg.cho_factor(gamma * M_aa)
             # d is the full Newton step: beta + d is zero off the active set
             d = -beta
-            d[active] = scipy.linalg.cho_solve(cho, rhs)
+            d[active] = _spd_solve(gamma * M_aa, rhs)
             Kd = op.matvec(d)
             t = _damped_step(res, Kd, beta, d, w, f0)
         except np.linalg.LinAlgError:
@@ -654,7 +695,7 @@ def _mrssn_loop(op, h, w, beta, res, g, state, tol, max_newton, counts,
             # the current support so the fallback cannot zero a live
             # coordinate and lose monotonicity.  The rejected step's blocks
             # are dropped first: the fallback is the solve's memory peak
-            M_aa = cho = None
+            M_aa = None
             cd_active = np.union1d(active, np.nonzero(beta)[0])
             beta, sweeps = _cd_burst(kth, beta, w, cd_active,
                                      cache.block(cd_active), CD_SWEEPS)

@@ -349,11 +349,19 @@ class TestGram:
 
     def test_out_of_range(self):
         op = dense_op(np.eye(4))
-        with pytest.raises(OperatorError):
-            op.gram_submatrix([0, 4], [0])
+
+        def extract():
+            raise AssertionError("columns extracted before the range check")
+
+        op._columns = extract
+        for rows, cols in (([0, 4], [0]), ([0], [1, 4]), ([-1], [0]),
+                           ([0], [-1])):
+            with pytest.raises(OperatorError):
+                op.gram_submatrix(rows, cols)
 
     def test_chunks_equal_one_product(self, rng, monkeypatch):
-        # row chunks, the last one ragged, sum each entry as one product does
+        # chunks of one column, as GRAM_CHUNK is below a column's entries,
+        # sum each entry as one product does
         cloud, basis = make_setup(rng, 300)
         op = compress(basis, MATERN, cloud, tau=1e-4)
         rows = rng.choice(300, 40, replace=False)
@@ -362,6 +370,32 @@ class TestGram:
         whole = np.asarray((A.T @ B).todense())
         monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK", 7)
         assert np.array_equal(op.gram_submatrix(rows, cols), whole)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["one-column",
+                                                         "ragged", "whole"])
+    @pytest.mark.parametrize("kind, n_rows, n_cols", [
+        ("compress", 40, 25), ("compress", 0, 25), ("compress", 40, 0),
+        ("hstack", 40, 25), ("hstack", 450, 30)])
+    def test_equals_sparse_product(self, rng, monkeypatch, kind, n_rows,
+                                   n_cols, chunk):
+        # a symmetric compressed operator and an N x 2N stack, which is not
+        # symmetric and can be fetched with more rows than it has; chunks of
+        # 1 and 7 of the 25 or 30 columns, and all of them at once
+        cloud, basis = make_setup(rng, 300)
+        op = compress(basis, MATERN, cloud, tau=1e-4)
+        if kind == "hstack":
+            op = CompressedOperator.hstack(
+                [op, compress(basis, KernelSpec("matern32", length=0.1),
+                              cloud, tau=1e-4)])
+        rows = rng.choice(op.n_cols, n_rows, replace=False)
+        cols = rng.choice(op.n_cols, n_cols, replace=False)
+        whole = (op.cols_matrix(rows).T @ op.cols_matrix(cols)).toarray()
+        if chunk is not None:
+            monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK",
+                                chunk * max(op.n_rows, n_rows))
+        G = op.gram_submatrix(rows, cols)
+        assert G.shape == (n_rows, n_cols)
+        assert np.array_equal(G, whole)
 
 
 class TestDiagonalBlocks:

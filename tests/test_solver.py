@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,37 @@ class TestFista:
             fista(dense_op(np.eye(2)), [1.0, 1.0], 0.0, mode="bogus")
 
 
+class TestLapack:
+    # the Newton step and the gamma rule call LAPACK directly; they must give
+    # scipy.linalg's results bit for bit, so that the iterates do not move
+    SIZES = [1, 2, 3, 5, 8, 13, 23, 48, 64, 100, 129, 200]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_spd_solve_is_cho_solve(self, rng, n):
+        A = random_spd(n, rng, ridge=1e-3)
+        b = rng.standard_normal(n)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), b)
+        assert np.array_equal(solver._spd_solve(A.copy(), b.copy()), ref)
+
+    def test_smallest_eigenvalue_is_eigvalsh(self, rng):
+        workspace = {}  # shared by every size, and reused for a second draw
+        for n in self.SIZES * 2:
+            A = random_spd(n, rng, ridge=1e-3)
+            before = A.copy()
+            ref = scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])
+            got = solver._smallest_eigenvalue(A, workspace)
+            assert np.array_equal([got], ref)
+            assert np.array_equal(A, before)  # the block is used again
+        assert sorted(workspace) == self.SIZES
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_not_positive_definite(self, rng, n):
+        A = random_spd(n, rng)
+        A[-1, -1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._spd_solve(A, rng.standard_normal(n))
+
+
 class TestMrssn:
     def test_scalar_closed_form(self):
         rep = mrssn(dense_op([[1.0]]), [2.0], [1.0],
@@ -242,12 +274,13 @@ class TestMrssn:
 
     def test_newton_memory_limit(self, rng, monkeypatch):
         # zero weights make all 30 columns active at once: the Gram cache
-        # storage plus NEWTON_COPIES blocks of 30 x 30 must fit in memory,
-        # and the refusal comes before the cache grows or anything is
-        # factored
+        # storage plus NEWTON_COPIES blocks of 30 x 30 plus the fetch's
+        # dense column chunk and its product must fit in memory, and the
+        # refusal comes before the cache grows or anything is factored
         A = random_spd(30, rng, ridge=1.0)
         h = rng.standard_normal(30)
-        need = 8 * (1 + solver.NEWTON_COPIES) * 30 * 30
+        need = (8 * (1 + solver.NEWTON_COPIES) * 30 * 30
+                + 16 * solver.GRAM_CHUNK)
         memory = "sampletbp.geometry.physical_memory"
         cfg = SolverConfig(tol=1e-10, outer_steps=1)
         for solve in (mrssn, ir_mrssn):
@@ -255,7 +288,7 @@ class TestMrssn:
             assert solve(dense_op(A), h, 0.0, config=cfg).extras["converged"]
             monkeypatch.setattr(memory, lambda: need - 1)
             with monkeypatch.context() as m:
-                m.setattr(solver.scipy.linalg, "cho_factor", None)
+                m.setattr(solver.scipy.linalg.lapack, "dpotrf", None)
                 with pytest.raises(BudgetError, match="physical memory"):
                     solve(dense_op(A), h, 0.0, config=cfg)
 
