@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import resource
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from math import inf, prod
+from math import comb, inf, prod
+from time import perf_counter
 
 import numpy as np
 
@@ -60,6 +63,38 @@ def default_leaf_capacity(m_q):
     return 2 * m_q
 
 
+def untimed(name):
+    """The stage context of a run that records nothing."""
+    return nullcontext()
+
+
+class StageTimer:
+    """Wall time and the process's peak RSS after each stage of a run, in
+    run order: ``with timer("tree"): ...`` adds ``timings["tree"]``."""
+
+    def __init__(self):
+        self.timings = {}
+
+    @contextmanager
+    def __call__(self, name):
+        t0 = perf_counter()
+        yield
+        # ru_maxrss, the process's high-water mark, is in KiB on Linux
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.timings[name] = {"wall_s": perf_counter() - t0,
+                              "peak_rss_mb": rss / 1024.0}
+
+
+def build_basis(cloud, q, stage=untimed):
+    """Cluster tree (stage ``tree``) and samplet basis (stage ``basis``) of
+    ``cloud`` with the default leaf capacity."""
+    m_q = comb(q + cloud.dim, cloud.dim)
+    with stage("tree"):
+        tree = build_cluster_tree(cloud, default_leaf_capacity(m_q))
+    with stage("basis"):
+        return build_samplet_basis(tree, cloud, q)
+
+
 def spms_index_window(n):
     """Low-and-middle-frequency samplet index window, rescaled with N from
     the reference window {1e3, ..., 1e4} at N = 1e6."""
@@ -70,17 +105,19 @@ def spms_index_window(n):
     return lo, hi
 
 
-def generate(case: BenchmarkCase):
-    """Build the cloud, samplet basis, and noisy benchmark data."""
-    from math import comb
-
+def generate(case: BenchmarkCase, stage=untimed):
+    """Build the cloud, samplet basis, and noisy benchmark data; ``stage``
+    times the steps ``tree``, ``basis`` and ``data`` (see StageTimer)."""
     rng = np.random.default_rng(case.seed)
-    pts = rng.uniform(-0.5, 0.5, size=(case.n, case.dim))
-    cloud = PointCloud(pts)
-    m_q = comb(case.q + case.dim, case.dim)
-    tree = build_cluster_tree(cloud, default_leaf_capacity(m_q))
-    basis = build_samplet_basis(tree, cloud, case.q)
+    cloud = PointCloud(rng.uniform(-0.5, 0.5, size=(case.n, case.dim)))
+    basis = build_basis(cloud, case.q, stage)
+    with stage("data"):
+        return _draw_data(case, cloud, basis, rng)
 
+
+def _draw_data(case, cloud, basis, rng):
+    """The signal of ``case`` on ``cloud`` and its noisy samples, drawn
+    from ``rng`` after the points."""
     if case.generator == "spss":
         idx = np.sort(rng.choice(case.n, size=case.n_translates, replace=False))
         Kcols = cross_matrix(case.kernel, cloud.points, cloud.points[idx])

@@ -11,13 +11,11 @@ from math import comb
 import numpy as np
 
 from . import __version__
-from .bench import (BenchmarkCase, cartesian_grid, default_leaf_capacity,
-                    generate, grid_eval, metrics)
-from .geometry import (BudgetError, GeometryError, PointCloud,
-                       build_cluster_tree, read_numeric_csv)
+from .bench import (BenchmarkCase, StageTimer, build_basis, cartesian_grid,
+                    default_leaf_capacity, generate, grid_eval, metrics)
+from .geometry import BudgetError, GeometryError, PointCloud, read_numeric_csv
 from .kernel import KernelError, KernelSpec
 from .operator import compress
-from .samplet import build_samplet_basis
 from .solver import SOLVERS, SolverConfig, SolverError
 
 EXIT_OK = 0
@@ -127,16 +125,24 @@ def _provenance(args, extra=None):
     return out
 
 
+def _sorted_keys(obj):
+    if isinstance(obj, dict):
+        return {k: _sorted_keys(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_sorted_keys(v) for v in obj]
+    return obj
+
+
 def _write_json(path, payload):
+    """Keys in sorted order at every level, except the stages of
+    ``timings``, which stay in run order."""
+    out = _sorted_keys(payload)
+    if "timings" in out:
+        out["timings"] = {name: out["timings"][name]
+                          for name in payload["timings"]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(out, fh, indent=2)
         fh.write("\n")
-
-
-def _build_basis(cloud, q):
-    m_q = comb(q + cloud.dim, cloud.dim)
-    tree = build_cluster_tree(cloud, default_leaf_capacity(m_q))
-    return build_samplet_basis(tree, cloud, q)
 
 
 def _solve(args, solver, op, h_sigma, basis):
@@ -173,7 +179,7 @@ def cmd_info(args):
 
 def cmd_transform(args):
     cloud = PointCloud.from_csv(args.points)
-    basis = _build_basis(cloud, args.q)
+    basis = build_basis(cloud, args.q)
     vec = np.loadtxt(args.input, delimiter=",", ndmin=1)
     if vec.ndim != 1 or vec.shape[0] != cloud.n:
         raise GeometryError("vector length does not match the point count")
@@ -186,15 +192,20 @@ def cmd_transform(args):
 def cmd_fit(args):
     cloud, values = ingest_labeled_csv(args.data, rescale=args.rescale)
     spec = _single_kernel(args)
-    basis = _build_basis(cloud, args.q)
-    op = compress(basis, spec, cloud, args.tau)
     solver = args.solver
     if solver == "auto":
         solver = "ridge" if args.weight == 0.0 else "ir_mrssn"
-    report, op_summary = _solve(args, solver, op, basis.forward(values), basis)
+    stage = StageTimer()
+    basis = build_basis(cloud, args.q, stage)
+    with stage("compress"):
+        op = compress(basis, spec, cloud, args.tau)
+    with stage("solve"):
+        report, op_summary = _solve(args, solver, op, basis.forward(values),
+                                    basis)
     payload = _provenance(args, {
         "report": report.to_dict(include_coefficients=False),
         "operator": op_summary,
+        "timings": stage.timings,
     })
     _write_json(args.report, payload)
     report.coefficients_csv(args.coefficients)
@@ -229,10 +240,17 @@ def cmd_bench(args):
                          noise_level=args.noise, kernel=spec, q=args.q)
     if args.field:
         shape = _parse_grid(args.grid, case.dim)
-    data = generate(case)
-    op = compress(data.basis, spec, data.cloud, args.tau)
-    report, op_summary = _solve(args, args.solver, op,
-                                data.basis.forward(data.noisy), data.basis)
+    stage = StageTimer()
+    data = generate(case, stage)
+    with stage("compress"):
+        op = compress(data.basis, spec, data.cloud, args.tau)
+    with stage("solve"):
+        report, op_summary = _solve(args, args.solver, op,
+                                    data.basis.forward(data.noisy), data.basis)
+    if args.field:
+        with stage("grid"):
+            grid = cartesian_grid(data.cloud.domain_box, shape)
+            field = grid_eval([report.alpha], [spec], data.cloud, grid)
     rec = metrics(report, data, op=op)
     table_time = rec["wall_time"]
     if args.no_timings:
@@ -243,6 +261,8 @@ def cmd_bench(args):
         "report": report.to_dict(include_coefficients=False,
                                  include_timings=not args.no_timings),
     })
+    if not args.no_timings:
+        payload["timings"] = stage.timings
     _write_json(args.report, payload)
     with open(args.table, "w") as fh:
         fh.write("method,iterations,comp_time,final_active,rel_l2_error\n")
@@ -250,8 +270,6 @@ def cmd_bench(args):
                  f"{table_time:.17g},{rec['beta_nnz']},"
                  f"{rec['rel_l2_error']:.17g}\n")
     if args.field:
-        grid = cartesian_grid(data.cloud.domain_box, shape)
-        field = grid_eval([report.alpha], [spec], data.cloud, grid)
         np.savetxt(args.field, np.column_stack([grid, field]),
                    delimiter=",", fmt="%.17g")
     return EXIT_OK

@@ -196,6 +196,8 @@ class CompressedOperator:
             indptr = np.frombuffer(fh.read(8 * (n_rows + 1)), dtype="<u8")
             indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8")
             data = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
+        if not np.all(np.isfinite(data)):
+            raise OperatorError("non-finite matrix entries in operator file")
         mat = scipy.sparse.csr_matrix(
             (data.copy(), indices.astype(np.int64), indptr.astype(np.int64)),
             shape=(n_rows, n_cols))

@@ -4,6 +4,7 @@ method, and its iteratively regularized continuation."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -109,6 +110,10 @@ class SolveReport:
         if include_coefficients:
             out["beta"] = [float(x) for x in np.asarray(self.beta).ravel()]
             out["alpha"] = [float(x) for x in np.asarray(self.alpha).ravel()]
+        else:
+            # identifies beta bit for bit without writing it out
+            beta = np.ascontiguousarray(self.beta, dtype="<f8").ravel()
+            out["beta_sha256"] = hashlib.sha256(beta.tobytes()).hexdigest()
         return out
 
     def to_json(self, include_coefficients=True, include_timings=True):

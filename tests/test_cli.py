@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -31,6 +32,8 @@ def write_points(path, pts, values=None):
 # --grid values that are not one positive count per coordinate of 2-D data
 BAD_GRIDS = ["8x8x8", "abc", "0x5", "5x-2"]
 BAD_GRID_IDS = ["rank-3", "text", "zero", "negative"]
+# the stages a bench report times, without --field
+BENCH_STAGES = ["tree", "basis", "data", "compress", "solve"]
 
 
 @pytest.fixture
@@ -251,6 +254,36 @@ class TestBench:
         assert run(argv) == EXIT_OK
         assert report.read_bytes() == first
 
+    def test_stage_timings(self, tmp_path, monkeypatch):
+        seen = []
+        solve = SOLVERS["ir_mrssn"]
+
+        def solve_and_keep(*args):
+            seen.append(solve(*args))
+            return seen[-1]
+
+        monkeypatch.setitem(SOLVERS, "ir_mrssn", solve_and_keep)
+        report = tmp_path / "report.json"
+        argv = ["bench", "--case", "spss", "--n", "300", "--field",
+                str(tmp_path / "f.csv"), "--grid", "4x4", "--report",
+                str(report), "--table", str(tmp_path / "t.csv")]
+        assert run(argv) == EXIT_OK
+        payload = json.loads(report.read_text())
+        # run order, as the file lists them
+        assert list(payload["timings"]) == [*BENCH_STAGES, "grid"]
+        for t in payload["timings"].values():
+            assert set(t) == {"wall_s", "peak_rss_mb"}
+            assert t["wall_s"] >= 0 and t["peak_rss_mb"] > 0
+        beta = np.asarray(seen[0].beta, dtype="<f8")
+        assert payload["report"]["beta_sha256"] == \
+            hashlib.sha256(beta.tobytes()).hexdigest()
+        assert run([*argv, "--no-timings"]) == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert "timings" not in payload
+        assert "wall_time" not in payload["report"]
+        assert payload["report"]["beta_sha256"] == \
+            hashlib.sha256(beta.tobytes()).hexdigest()
+
     def test_unknown_flag_exit_code(self, capsys):
         assert run(["bench", "--case", "spss", "--frobnicate"]) == EXIT_USAGE
 
@@ -293,7 +326,7 @@ class TestBench:
         # noise and length are checked before the data are generated
         if not setting.startswith("--tau"):
             monkeypatch.setattr(cli, "generate",
-                                lambda case: pytest.fail("ran"))
+                                lambda *args: pytest.fail("ran"))
         report = tmp_path / "report.json"
         rc = run(["bench", "--case", "spss", "--n", "150", "--q", "1",
                   setting, "--report", str(report),
@@ -339,7 +372,7 @@ class TestBench:
     @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_bad_grid_exit_code(self, tmp_path, monkeypatch, grid):
         # checked before the data are generated; no file is written
-        monkeypatch.setattr(cli, "generate", lambda case: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("ran"))
         rc = run(["bench", "--case", "spss", "--n", "150", "--field",
                   str(tmp_path / "f.csv"), f"--grid={grid}",
                   "--report", str(tmp_path / "r.json"),
@@ -349,7 +382,7 @@ class TestBench:
 
     def test_out_of_memory_exit_code(self, tmp_path, monkeypatch):
         # an allocation that fails outside the estimates is exit 4 too
-        def generate(case):
+        def generate(case, stage):
             raise MemoryError("Unable to allocate 14.9 GiB")
 
         monkeypatch.setattr(cli, "generate", generate)
@@ -418,8 +451,11 @@ def test_fit_and_bench_run_the_named_solver(tmp_path, rng, solver):
                 str(bench), "--table", str(tmp_path / "t.csv"),
                 *small]) == EXIT_OK
     method = "ridge_cg" if solver == "ridge" else solver
-    for path in (fit, bench):
-        assert json.loads(path.read_text())["report"]["method"] == method
+    for path, stages in ((fit, ["tree", "basis", "compress", "solve"]),
+                         (bench, BENCH_STAGES)):
+        payload = json.loads(path.read_text())
+        assert payload["report"]["method"] == method
+        assert list(payload["timings"]) == stages
 
 
 @pytest.mark.parametrize("argv", [

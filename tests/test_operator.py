@@ -579,3 +579,15 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(OperatorError, match="corrupt"):
             CompressedOperator.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # a 6 x 6 operator whose last stored value is replaced in the file
+        path = tmp_path / "op.smpk"
+        CompressedOperator.from_dense(np.eye(6), tau=0.5).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(OperatorError, match="non-finite"):
+            CompressedOperator.load(path)
