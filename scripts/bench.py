@@ -3,7 +3,7 @@
 Each case of ``CASES`` (seed 1 and the other ``sampletbp bench`` defaults)
 runs as one fresh ``python -m sampletbp.cli bench ... --report`` process on
 the package in this checkout's ``src/``, so that each peak RSS is that
-case's own. For each case this writes ``BENCH_<case>_<N>.json``: the
+case's own. For each case this writes ``BENCH_<case>_<N>_<solver>.json``: the
 report's stage timings (wall time and the process's peak RSS after each
 stage), the operator summary, the solver's iterations, objective,
 ``beta_sha256`` and ``extras`` counters, ``rel_l2_error``, and the commit,
@@ -30,10 +30,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# (generator, N, solver)
+# (generator, N, solver); spss 2000 fista is the paper's single-scale
+# baseline
 CASES = (("cartoon", 6000, "ridge"),
          ("spss", 2000, "ir_mrssn"), ("spms", 2000, "ir_mrssn"),
-         ("spss", 10_000, "ir_mrssn"), ("spms", 10_000, "ir_mrssn"))
+         ("spss", 10_000, "ir_mrssn"), ("spms", 10_000, "ir_mrssn"),
+         ("spss", 2000, "fista"))
 
 
 def _git(*args):
@@ -90,7 +92,7 @@ def run_case(case, n, solver, host):
 def compare(dir_a, dir_b):
     """Print each stage's wall time and peak RSS of the cases in both
     directories side by side, and whether beta is identical."""
-    print(f"{'case':<14} {'stage':<9} {'A s':>8} {'B s':>8} {'B/A':>6} "
+    print(f"{'case':<20} {'stage':<9} {'A s':>8} {'B s':>8} {'B/A':>6} "
           f"{'A MB':>7} {'B MB':>7}")
     for path_a in sorted(glob.glob(os.path.join(dir_a, "BENCH_*.json"))):
         path_b = os.path.join(dir_b, os.path.basename(path_a))
@@ -98,16 +100,16 @@ def compare(dir_a, dir_b):
             continue
         with open(path_a) as fa, open(path_b) as fb:
             a, b = json.load(fa), json.load(fb)
-        name = f"{a['case']} {a['n']}"
+        name = f"{a['case']} {a['n']} {a['solver']}"
         for stage, ta in a["timings"].items():
             tb = b["timings"].get(stage)
             if tb is None:
                 continue
-            print(f"{name:<14} {stage:<9} {ta['wall_s']:>8.3f} "
+            print(f"{name:<20} {stage:<9} {ta['wall_s']:>8.3f} "
                   f"{tb['wall_s']:>8.3f} {tb['wall_s'] / ta['wall_s']:>6.3f} "
                   f"{ta['peak_rss_mb']:>7.1f} {tb['peak_rss_mb']:>7.1f}")
         same = a["solve"]["beta_sha256"] == b["solve"]["beta_sha256"]
-        print(f"{name:<14} beta {'identical' if same else 'DIFFERENT'}")
+        print(f"{name:<20} beta {'identical' if same else 'DIFFERENT'}")
 
 
 def main(argv=None):
@@ -124,7 +126,7 @@ def main(argv=None):
     host = provenance()
     for case, n, solver in CASES:
         record = run_case(case, n, solver, host)
-        path = os.path.join(args.out, f"BENCH_{case}_{n}.json")
+        path = os.path.join(args.out, f"BENCH_{case}_{n}_{solver}.json")
         with open(path, "w") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")

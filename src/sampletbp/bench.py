@@ -135,8 +135,8 @@ def _draw_data(case, cloud, basis, rng):
         sel[idx] = 1.0
         omega = basis.inverse(sel)  # summed coefficient vectors, point order
         nz = np.nonzero(omega)[0]   # samplet supports are local
-        raw = cross_matrix(case.kernel, cloud.points,
-                           cloud.points[nz]) @ omega[nz]
+        raw = grid_eval([omega[nz]], [case.kernel],
+                        PointCloud(cloud.points[nz]), cloud.points)
         c = 1.0 / (2.0 * raw.max())
         clean = c * raw
         support = idx

@@ -110,9 +110,15 @@ def ingest_labeled_csv(path, rescale=False):
     return cloud, values
 
 
+# where a run writes its outputs is not part of its configuration, so the
+# config echo leaves these keys out
+OUTPUT_PATHS = ("report", "table", "field", "coefficients")
+
+
 def _provenance(args, extra=None):
     import scipy
-    echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    echo = {k: v for k, v in vars(args).items()
+            if k != "func" and k not in OUTPUT_PATHS and v is not None}
     out = {
         "tool": "sampletbp",
         "version": __version__,

@@ -302,15 +302,15 @@ class TestDeterminism:
     def test_criterion_9(self, tmp_path):
         from sampletbp.cli import run
 
-        # identical output paths both times: the provenance header echoes the
-        # full configuration, including where the report is written
-        path = tmp_path / "report.json"
-        table = tmp_path / "table.csv"
+        # different output paths: the configuration echo leaves out where
+        # the report and table are written
         reports = []
-        for _attempt in range(2):
+        for attempt in range(2):
+            path = tmp_path / f"report{attempt}.json"
             code = run(["bench", "--case", "spss", "--n", "512", "--seed", "3",
                         "--solver", "ir_mrssn", "--no-timings",
-                        "--report", str(path), "--table", str(table)])
+                        "--report", str(path),
+                        "--table", str(tmp_path / f"table{attempt}.csv")])
             assert code == 0
             reports.append(path.read_bytes())
         cli_identical = reports[0] == reports[1]

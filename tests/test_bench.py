@@ -56,6 +56,15 @@ class TestGenerate:
             / np.linalg.norm(data.clean)
         assert abs(ratio - 0.05) <= 1e-12
 
+    def test_spms_signal_refused_before_kernel_block(self, monkeypatch):
+        # the clean spms signal is summed in grid evaluation's row chunks,
+        # under its memory estimate, not as one N x |supp omega| block
+        monkeypatch.setattr("sampletbp.geometry.physical_memory", lambda: 1)
+        monkeypatch.setattr("sampletbp.bench.cross_matrix",
+                            lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(BudgetError, match="physical memory"):
+            generate(case("spms"))
+
     def test_determinism(self):
         d1 = generate(case(seed=5))
         d2 = generate(case(seed=5))

@@ -17,8 +17,9 @@ def test_bench_files_and_compare(tmp_path, monkeypatch, capsys):
     script = load_script()
     monkeypatch.setattr(script, "CASES", (("spss", 300, "ir_mrssn"),))
     assert script.main(["--out", str(tmp_path)]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_spss_300.json"]
-    record = json.loads((tmp_path / "BENCH_spss_300.json").read_text())
+    name = "BENCH_spss_300_ir_mrssn.json"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    record = json.loads((tmp_path / name).read_text())
     assert set(record) == {"case", "n", "solver", "timings", "operator",
                            "solve", "rel_l2_error", "provenance"}
     assert list(record["timings"]) == ["tree", "basis", "data", "compress",
@@ -38,5 +39,5 @@ def test_bench_files_and_compare(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert script.main(["--compare", str(tmp_path), str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "spss 300       beta identical" in out
+    assert "spss 300 ir_mrssn    beta identical" in out
     assert "DIFFERENT" not in out

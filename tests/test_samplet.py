@@ -16,6 +16,14 @@ def make_basis(points, q, leaf_capacity=None):
     return cloud, build_samplet_basis(tree, cloud, q)
 
 
+# (dimension, q, N, leaf capacity in units of m_q): 1-, 2- and 3-D with
+# q = 0-3; N = 1, where the root is a leaf; a single leaf of fewer than m_q
+# points; and leaves of m_q / 2 to m_q points, below the m_q scaling outputs
+TRANSFORM_CASES = [(d, q, 128, 2) for d in (1, 2, 3) for q in range(4)] + [
+    (2, 1, 64, 2), (1, 0, 1, 2), (3, 2, 1, 2), (3, 3, 7, 2), (1, 2, 60, 1),
+    (2, 3, 150, 1), (3, 1, 200, 1)]
+
+
 class TestMultiIndices:
     def test_counts(self):
         for d in (1, 2, 3):
@@ -95,12 +103,26 @@ class TestTransforms:
             e[k] = 1.0
             assert np.abs(out - e).max() <= 1e-12
 
-    def test_matches_dense_matrix(self, rng):
-        _, basis = make_basis(rng.uniform(-1, 1, (128, 3)), 1)
+    @pytest.mark.parametrize("d,q,n,leaf", TRANSFORM_CASES)
+    def test_matches_dense_matrix(self, rng, d, q, n, leaf):
+        # the level-batched transforms against T, formed block by block;
+        # a matrix argument against its columns one at a time, which BLAS
+        # multiplies by other kernels (gemm, gemv), so not bit for bit
+        m_q = comb(q + d, d)
+        _, basis = make_basis(rng.uniform(-1, 1, (n, d)), q,
+                              leaf_capacity=leaf * m_q)
         Td = basis.to_dense()
-        v = rng.standard_normal(128)
+        v = rng.standard_normal(n)
         assert np.abs(basis.forward(v) - Td @ v).max() <= 1e-12
         assert np.abs(basis.inverse(v) - Td.T @ v).max() <= 1e-12
+        V = rng.standard_normal((n, 3))
+        W, U = basis.forward(V), basis.inverse(V)
+        assert W.shape == U.shape == (n, 3)
+        assert np.abs(W - Td @ V).max() <= 1e-12
+        assert np.abs(U - Td.T @ V).max() <= 1e-12
+        for j in range(3):
+            assert np.abs(W[:, j] - basis.forward(V[:, j])).max() <= 1e-14
+            assert np.abs(U[:, j] - basis.inverse(V[:, j])).max() <= 1e-14
 
     def test_polynomial_coefficients_vanish(self, rng):
         q, d = 2, 2
@@ -133,13 +155,6 @@ class TestTransforms:
         v = cloud.points[:, 0] ** 2
         w = basis.forward(v)
         assert np.abs(basis.inverse(w) - v).max() <= 1e-12
-
-    def test_matrix_argument(self, rng):
-        _, basis = make_basis(rng.uniform(-1, 1, (64, 2)), 1)
-        V = rng.standard_normal((64, 5))
-        W = basis.forward(V)
-        for j in range(5):
-            assert np.abs(W[:, j] - basis.forward(V[:, j])).max() <= 1e-14
 
     def test_subtree_transform_rows_are_global_rows(self, rng):
         # below its scaling rows, a subtree's local order lists global
