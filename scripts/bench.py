@@ -14,8 +14,9 @@ host and library versions it ran with.
 
 ``--compare`` prints, for every case in both directories, each stage's
 wall time and peak RSS side by side and whether beta is bit for bit the
-same. Compare only runs of different code on the same machine, close in
-time.
+same, and names each case found on one side only. It exits 1 when a beta
+differs or a case is missing, else 0. Compare only runs of different code
+on the same machine, close in time.
 """
 
 from __future__ import annotations
@@ -91,14 +92,20 @@ def run_case(case, n, solver, host):
 
 def compare(dir_a, dir_b):
     """Print each stage's wall time and peak RSS of the cases in both
-    directories side by side, and whether beta is identical."""
+    directories side by side, and whether beta is identical; 1 if a beta
+    differs or a case is in one directory only, else 0."""
     print(f"{'case':<20} {'stage':<9} {'A s':>8} {'B s':>8} {'B/A':>6} "
           f"{'A MB':>7} {'B MB':>7}")
-    for path_a in sorted(glob.glob(os.path.join(dir_a, "BENCH_*.json"))):
-        path_b = os.path.join(dir_b, os.path.basename(path_a))
-        if not os.path.exists(path_b):
-            continue
-        with open(path_a) as fa, open(path_b) as fb:
+    names = [{os.path.basename(p) for p in
+              glob.glob(os.path.join(d, "BENCH_*.json"))}
+             for d in (dir_a, dir_b)]
+    status = 0
+    for file in sorted(names[0] ^ names[1]):
+        print(f"{file} only in {'A' if file in names[0] else 'B'}")
+        status = 1
+    for file in sorted(names[0] & names[1]):
+        with open(os.path.join(dir_a, file)) as fa, \
+                open(os.path.join(dir_b, file)) as fb:
             a, b = json.load(fa), json.load(fb)
         name = f"{a['case']} {a['n']} {a['solver']}"
         for stage, ta in a["timings"].items():
@@ -110,6 +117,9 @@ def compare(dir_a, dir_b):
                   f"{ta['peak_rss_mb']:>7.1f} {tb['peak_rss_mb']:>7.1f}")
         same = a["solve"]["beta_sha256"] == b["solve"]["beta_sha256"]
         print(f"{name:<20} beta {'identical' if same else 'DIFFERENT'}")
+        if not same:
+            status = 1
+    return status
 
 
 def main(argv=None):
@@ -120,8 +130,7 @@ def main(argv=None):
                         help="compare the BENCH files of two directories")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return compare(*args.compare)
     os.makedirs(args.out, exist_ok=True)
     host = provenance()
     for case, n, solver in CASES:

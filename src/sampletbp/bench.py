@@ -205,6 +205,9 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
     alphas and kernels are parallel lists; pass single-element lists for one
     kernel.  grid_points is (M, d).
     """
+    if len(alphas) != len(kernels):
+        raise BenchError(f"{len(alphas)} coefficient vectors for "
+                         f"{len(kernels)} kernels")
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     (m, d), n = grid_points.shape, cloud.n
     require_memory(8 * (m + min(m, GRID_CHUNK) * (CROSS_COPIES * n + d)

@@ -37,8 +37,7 @@ class CompressedOperator:
     matrix: scipy.sparse.csr_matrix
     threshold: float
     est_rel_frobenius_error: float
-    _csc: scipy.sparse.csc_matrix = field(default=None, repr=False)  # type: ignore
-    # K^T as CSR over the CSC arrays, built once for matvec_transpose
+    # K^T as CSR: the matrix itself for compress, else built on first use
     _transposed: scipy.sparse.csr_matrix = field(default=None, repr=False)  # type: ignore
 
     @property
@@ -73,14 +72,9 @@ class CompressedOperator:
             raise OperatorError("matvec_transpose length mismatch")
         return self._transpose() @ v
 
-    def _columns(self):
-        if self._csc is None:
-            self._csc = self.matrix.tocsc()
-        return self._csc
-
     def _transpose(self):
         if self._transposed is None:
-            self._transposed = self._columns().T
+            self._transposed = self.matrix.tocsc().T
         return self._transposed
 
     def _column_indices(self, idx):
@@ -89,15 +83,11 @@ class CompressedOperator:
             raise OperatorError("column index out of range")
         return idx
 
-    def cols_matrix(self, idx):
-        """CSC matrix of the selected columns, in the given order."""
-        return self._columns()[:, self._column_indices(idx)]
-
     def gram_submatrix(self, rows_idx, cols_idx):
         """Dense Gram block of selected columns: (a, b) -> col_a . col_b.
 
-        The rows of K^T selected by ``rows_idx``, gathered from the
-        transposed CSR, times the columns of K selected by ``cols_idx``
+        The rows of K^T selected by ``rows_idx`` times the columns of K
+        selected by ``cols_idx``, both gathered as rows of K^T, the latter
         made dense: one sparse times dense product, taken in column chunks
         of at most GRAM_CHUNK entries, whose products are no larger.  Each
         entry is summed over K's rows in ascending order, as one sparse
@@ -105,14 +95,14 @@ class CompressedOperator:
         the block is bitwise that product's."""
         rows = self._column_indices(rows_idx)
         cols = self._column_indices(cols_idx)
-        At = self._transpose()[rows]
-        K = self._columns()
+        Kt = self._transpose()
+        At = Kt[rows]
         step = max(1, GRAM_CHUNK // max(1, self.n_rows, rows.size))
         if cols.size <= step:  # one chunk, whose product is the block
-            return At @ K[:, cols].toarray()
+            return At @ Kt[cols].T.toarray()
         G = np.empty((rows.size, cols.size))
         for lo in range(0, cols.size, step):
-            G[:, lo:lo + step] = At @ K[:, cols[lo:lo + step]].toarray()
+            G[:, lo:lo + step] = At @ Kt[cols[lo:lo + step]].T.toarray()
         return G
 
     def diagonal_blocks(self, sizes):
@@ -256,10 +246,10 @@ PANEL = 512  # a cluster of at most PANEL points is not split further
 # (tracemalloc: 3.3 to 3.5 with one or two workers at N = 2048, where the
 # blocks are 512 x 512)
 PANEL_COPIES = 4
-# bytes per kept entry at the peak of _mirror: the parts' int64 rows and
-# columns and float64 values beside the mirrored triples (tracemalloc: 64.8
-# to 66.4 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
-KEPT_BYTES = 68
+# bytes per kept entry at the peak of _mirror: the parts' int32 rows and
+# columns and float64 values beside the mirrored triples (tracemalloc: 56.8
+# to 58.2 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
+KEPT_BYTES = 60
 BATCH = 4  # base pairs per worker handed to the pool at a time
 
 
@@ -336,8 +326,10 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     del build
     matrix = _mirror(n, kept)
     est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
+    # exactly symmetric and canonical, so K^T's CSR is K's: held once
     return CompressedOperator(matrix=matrix, threshold=float(tau),
-                              est_rel_frobenius_error=float(est))
+                              est_rel_frobenius_error=float(est),
+                              _transposed=matrix)
 
 
 def _splits(c):
@@ -522,15 +514,14 @@ def _threshold(X, rows, cols, tau, diagonal=False):
 
 def _mirror(n, parts):
     """Exactly symmetric canonical CSR matrix from kept entries (rows,
-    cols, vals), one of each mirrored pair and the diagonal.  The list of
+    cols, vals), one of each mirrored pair and the diagonal, indexed in the
+    type scipy keeps, so that the conversion copies no index.  The list of
     parts is emptied before the conversion."""
-    # the index type scipy keeps, so that the conversion copies no index
-    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     off = [rows != cols for rows, cols, _ in parts]
     rows, cols, vals = (
         np.concatenate([p[i] for p in parts]
-                       + [p[j][o] for p, o in zip(parts, off)], dtype=t)
-        for i, j, t in ((0, 1, idx), (1, 0, idx), (2, 2, float)))
+                       + [p[j][o] for p, o in zip(parts, off)])
+        for i, j in ((0, 1), (1, 0), (2, 2)))
     parts.clear()
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 

@@ -315,7 +315,9 @@ def build_samplet_basis(tree: ClusterTree, cloud: PointCloud, q: int) -> Samplet
     if pos != tree.n:
         raise SampletError("output count does not match N")
     # depth-first local order: a subtree's samplets are one run of it
-    local_order = np.empty(tree.n, dtype=np.int64)
+    # in the index type of compress's CSR, so kept entries' indices are too
+    local_order = np.empty(tree.n,
+                           scipy.sparse.get_index_dtype(maxval=tree.n))
     local_order[:n_root_scaling] = np.arange(n_root_scaling)
     pos = n_root_scaling
     stack = [root_blk]

@@ -790,6 +790,8 @@ def solve_multi_kernel(ops, h_sigma, w, config=None, bases=None,
     if method not in ("ir_mrssn", "mrfista"):
         raise SolverError(f"unsupported multi-kernel method: {method}")
     ops = tuple(ops)
+    if bases is not None and len(bases) != len(ops):
+        raise SolverError(f"{len(bases)} bases for {len(ops)} operators")
     report = SOLVERS[method](CompressedOperator.hstack(ops), h_sigma, w,
                              config or SolverConfig(), None)
     parts = np.split(report.beta, np.cumsum([op.n_cols for op in ops])[:-1])

@@ -191,6 +191,13 @@ class TestGridEval:
                                                 cloud.points[i])
         assert np.abs(field - naive).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_alphas", [1, 3])
+    def test_list_lengths_must_match(self, rng, n_alphas):
+        cloud = PointCloud(rng.uniform(0, 1, (10, 2)))
+        with pytest.raises(BenchError, match=f"{n_alphas} coefficient"):
+            grid_eval([np.ones(10)] * n_alphas, [KernelSpec("matern32")] * 2,
+                      cloud, rng.uniform(0, 1, (5, 2)))
+
     def test_budget(self, rng, monkeypatch):
         # the outputs and one chunk's kernel blocks and coordinates must fit
         # in memory; checked before any kernel entry is computed

@@ -41,3 +41,15 @@ def test_bench_files_and_compare(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "spss 300 ir_mrssn    beta identical" in out
     assert "DIFFERENT" not in out
+    # a changed beta, then a case on one side only, exit 1
+    other = tmp_path / "other"
+    other.mkdir()
+    record["solve"]["beta_sha256"] = "0" * 64
+    (other / name).write_text(json.dumps(record))
+    assert script.main(["--compare", str(tmp_path), str(other)]) == 1
+    assert "spss 300 ir_mrssn    beta DIFFERENT" in capsys.readouterr().out
+    (other / name).rename(other / "BENCH_spss_400_ir_mrssn.json")
+    assert script.main(["--compare", str(tmp_path), str(other)]) == 1
+    out = capsys.readouterr().out
+    assert f"{name} only in A" in out
+    assert "BENCH_spss_400_ir_mrssn.json only in B" in out

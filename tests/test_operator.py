@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import dense_op, random_spd, traced_peak, two_sided
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
-                       PointCloud, assemble_dense, build_cluster_tree,
-                       build_samplet_basis, compress, estimate_lipschitz)
+                       PointCloud, SolverConfig, assemble_dense,
+                       build_cluster_tree, build_samplet_basis, compress,
+                       estimate_lipschitz, fista, ir_mrssn)
 from sampletbp.kernel import cross_matrix
 from sampletbp.operator import (KEPT_BYTES, PANEL, PANEL_COPIES,
                                 OperatorError, compress_peak_bytes,
@@ -110,11 +111,36 @@ class TestCompress:
         op = compress(basis, MATERN, cloud, tau=1e-1)
         assert np.all(op.matrix.diagonal() != 0.0)
 
-    def test_pattern_symmetric(self, rng):
-        cloud, basis = make_setup(rng, 256)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [256, 2 * PANEL + 37])
+    def test_exactly_symmetric(self, rng, monkeypatch, n, workers):
+        # the CSR arrays are those of the CSC, so the matrix is its own
+        # transpose: one leaf pass, and pairs of clusters split by the
+        # recursion, run on one or two workers
+        monkeypatch.setattr("sampletbp.operator.panel_workers",
+                            lambda n: workers)
+        cloud, basis = make_setup(rng, n)
         op = compress(basis, MATERN, cloud, tau=1e-4)
-        pattern = (op.matrix != 0)
-        assert (pattern != pattern.T).nnz == 0
+        csc = op.matrix.tocsc()
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op.matrix, part),
+                                  getattr(csc, part))
+
+    def test_held_once_through_sparse_solves(self, rng, monkeypatch):
+        # the matrix is its own transpose for matvec_transpose and Gram
+        # blocks; no CSC copy is made
+        cloud, basis = make_setup(rng, 200)
+        op = compress(basis, MATERN, cloud, tau=1e-4)
+
+        def tocsc(self, copy=False):
+            raise AssertionError("CSC copy made")
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "tocsc", tocsc)
+        h = basis.forward(rng.standard_normal(200))
+        rep = ir_mrssn(op, h, 2e-3)
+        assert rep.extras["gram_fetches"] > 0
+        fista(op, h, 2e-3, config=SolverConfig(max_iter=50), mode="mr")
+        assert op._transpose() is op.matrix
 
     def test_streamed_matches_dense_oracle(self, rng):
         # several base pairs, of uneven sizes
@@ -353,7 +379,7 @@ class TestGram:
         def extract():
             raise AssertionError("columns extracted before the range check")
 
-        op._columns = extract
+        op._transpose = extract
         for rows, cols in (([0, 4], [0]), ([0], [1, 4]), ([-1], [0]),
                            ([0], [-1])):
             with pytest.raises(OperatorError):
@@ -366,7 +392,7 @@ class TestGram:
         op = compress(basis, MATERN, cloud, tau=1e-4)
         rows = rng.choice(300, 40, replace=False)
         cols = rng.choice(300, 25, replace=False)
-        A, B = op.cols_matrix(rows), op.cols_matrix(cols)
+        A, B = op.matrix[:, rows], op.matrix[:, cols]
         whole = np.asarray((A.T @ B).todense())
         monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK", 7)
         assert np.array_equal(op.gram_submatrix(rows, cols), whole)
@@ -389,7 +415,7 @@ class TestGram:
                               cloud, tau=1e-4)])
         rows = rng.choice(op.n_cols, n_rows, replace=False)
         cols = rng.choice(op.n_cols, n_cols, replace=False)
-        whole = (op.cols_matrix(rows).T @ op.cols_matrix(cols)).toarray()
+        whole = (op.matrix[:, rows].T @ op.matrix[:, cols]).toarray()
         if chunk is not None:
             monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK",
                                 chunk * max(op.n_rows, n_rows))
@@ -477,10 +503,9 @@ class TestHstack:
         # the second set is unsorted, repeats an index and straddles blocks
         for idx in (rng.choice(128, 9, replace=False),
                     np.array([100, 3, 64, 127, 3, 63, 0, 70])):
-            assert np.array_equal(blk.cols_matrix(idx).toarray(), C[:, idx])
             ref = (C.T @ C)[np.ix_(idx, idx)]
             assert np.abs(blk.gram_submatrix(idx, idx) - ref).max() <= 1e-12
-        assert blk.cols_matrix([]).shape == (64, 0)
+        assert blk.gram_submatrix([], [3, 100]).shape == (0, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(OperatorError):

@@ -502,6 +502,17 @@ class TestMultiKernel:
         nnz1, nnz2 = rep.extras["block_nnz"]
         assert nnz1 > 0 and nnz2 == 0
 
+    @pytest.mark.parametrize("n_bases", [1, 3])
+    def test_basis_count_must_match(self, rng, n_bases, monkeypatch):
+        # a basis per operator, or the back-transform would be cut short;
+        # refused before the solve
+        _, basis, op = kernel_setup(rng, 64)
+        monkeypatch.setitem(solver.SOLVERS, "ir_mrssn",
+                            lambda *args: pytest.fail("solved"))
+        with pytest.raises(SolverError, match=f"{n_bases} bases for 2"):
+            solve_multi_kernel((op, op), rng.standard_normal(64), 1e-3,
+                               bases=[basis] * n_bases)
+
 
 class TestReport:
     def test_alpha_matches_inverse_transform(self, rng):
