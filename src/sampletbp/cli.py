@@ -186,9 +186,11 @@ def cmd_info(args):
 def cmd_transform(args):
     cloud = PointCloud.from_csv(args.points)
     basis = build_basis(cloud, args.q)
-    vec = np.loadtxt(args.input, delimiter=",", ndmin=1)
-    if vec.ndim != 1 or vec.shape[0] != cloud.n:
-        raise GeometryError("vector length does not match the point count")
+    vec = read_numeric_csv(args.input)
+    if min(vec.shape) != 1 or vec.size != cloud.n:
+        raise GeometryError(f"input vector of shape {vec.shape}: expected "
+                            f"one column or one row of {cloud.n} values")
+    vec = vec.ravel()
     _require_finite(vec, "input vector")
     out = basis.inverse(vec) if args.inverse else basis.forward(vec)
     np.savetxt(args.output, out, fmt="%.17g")
@@ -321,6 +323,8 @@ def build_parser():
         epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
+    defaults = SolverConfig()  # of every solver flag but --lambda
+
     def common(sp, solver=True):
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--kernel", help="kernel family override")
@@ -330,13 +334,15 @@ def build_parser():
                             help="vanishing moments are of order q+1")
             sp.add_argument("--tau", type=float, default=1e-4,
                             help="a-posteriori compression threshold")
+            # not SolverConfig's lam of 0, which has no ridge term
             sp.add_argument("--lambda", dest="lam", type=float, default=2e-5,
                             help="ridge regularization as lambda / N")
             sp.add_argument("--weight", type=float, default=2e-5)
-            sp.add_argument("--tol", type=float, default=9e-7)
-            sp.add_argument("--mu0", type=float, default=1.05)
-            sp.add_argument("--outer-steps", type=int, default=250)
-            sp.add_argument("--max-iter", type=int, default=10000)
+            sp.add_argument("--tol", type=float, default=defaults.tol)
+            sp.add_argument("--mu0", type=float, default=defaults.mu0)
+            sp.add_argument("--outer-steps", type=int,
+                            default=defaults.outer_steps)
+            sp.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
     sp = sub.add_parser("info", help="summarize a point CSV")
     sp.add_argument("input")
@@ -346,7 +352,8 @@ def build_parser():
 
     sp = sub.add_parser("transform", help="apply the samplet transform")
     sp.add_argument("--points", required=True)
-    sp.add_argument("--input", required=True, help="vector CSV, one value/row")
+    sp.add_argument("--input", required=True, help="vector CSV: one column or one row, "
+                    "optional header line")
     sp.add_argument("--output", required=True)
     sp.add_argument("--inverse", action="store_true")
     sp.add_argument("--q", type=int, default=3)

@@ -70,6 +70,28 @@ class TestTransform:
         v2 = np.loadtxt(back)
         assert np.abs(v2 - v).max() <= 1e-12
 
+    @pytest.mark.parametrize("layout", ["header", "row", "two-columns"])
+    def test_vector_layouts(self, cloud_csv, tmp_path, rng, layout):
+        # one column under a header line, as every CSV input may have, or
+        # one row round-trips; two columns of the right count do not
+        v = rng.standard_normal(100)
+        vec = tmp_path / "v.csv"
+        if layout == "header":
+            np.savetxt(vec, v, fmt="%.17g", header="value", comments="")
+        else:
+            np.savetxt(vec, v.reshape(1 if layout == "row" else 50, -1),
+                       delimiter=",", fmt="%.17g")
+        fwd, back = tmp_path / "w.csv", tmp_path / "v2.csv"
+        rc = run(["transform", "--points", str(cloud_csv), "--input",
+                  str(vec), "--output", str(fwd)])
+        if layout == "two-columns":
+            assert rc == EXIT_BAD_INPUT and not fwd.exists()
+            return
+        assert rc == EXIT_OK
+        assert run(["transform", "--points", str(cloud_csv), "--input",
+                    str(fwd), "--output", str(back), "--inverse"]) == EXIT_OK
+        assert np.abs(np.loadtxt(back) - v).max() <= 1e-12
+
     def test_length_mismatch(self, cloud_csv, tmp_path):
         vec = tmp_path / "v.csv"
         np.savetxt(vec, np.zeros(7), fmt="%g")
@@ -435,6 +457,19 @@ def test_every_config_field_has_a_flag(monkeypatch, command):
     for name, (flag, value) in CONFIG_FLAGS.items():
         assert getattr(seen["cfg"], name) == type(fields[name])(value) \
             != fields[name], flag
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "data.csv"], ["bench", "--case", "spss"],
+], ids=["fit", "bench"])
+def test_solver_flag_defaults_are_the_config_defaults(command):
+    # SolverConfig owns the defaults; --lambda alone has its own
+    args = build_parser().parse_args(command)
+    cfg = SolverConfig()
+    for name in CONFIG_FLAGS:
+        if name != "lam":
+            assert getattr(args, name) == getattr(cfg, name), name
+    assert args.lam == 2e-5 != cfg.lam
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))

@@ -424,36 +424,6 @@ class TestGram:
         assert np.array_equal(G, whole)
 
 
-class TestDiagonalBlocks:
-    @pytest.mark.parametrize("chunk", [5, 1 << 16])
-    def test_matches_dense_slices(self, rng, monkeypatch, chunk):
-        # a thresholded operator, so some block entries are not stored; a
-        # chunk of 5 entries is shorter than most rows
-        monkeypatch.setattr("sampletbp.operator.BLOCK_CHUNK", chunk)
-        cloud, basis = make_setup(rng, 300)
-        op = compress(basis, MATERN, cloud, tau=1e-3)
-        sizes = [40, 1, 3, 0, 100] + [4] * 39
-        dense = op.to_dense()
-        ref, lo = [], 0
-        for s in sizes:
-            ref.append(dense[lo:lo + s, lo:lo + s].ravel())
-            lo += s
-        assert np.array_equal(op.diagonal_blocks(sizes), np.concatenate(ref))
-
-    def test_duplicate_entries_summed(self):
-        # a matrix not in canonical form: entries in any order, one twice
-        m = scipy.sparse.csr_matrix(
-            (np.array([2.0, 1.0, 5.0, 0.5]), np.array([1, 0, 1, 1]),
-             np.array([0, 2, 4])), shape=(2, 2))
-        op = CompressedOperator(m, 0.0, 0.0)
-        assert np.array_equal(op.diagonal_blocks([2]), [1.0, 2.0, 0.0, 5.5])
-
-    @pytest.mark.parametrize("sizes", [[2, 2], [3, 3, -1], [6]])
-    def test_tiling_checked(self, sizes):
-        with pytest.raises(OperatorError, match="tile"):
-            dense_op(np.eye(5)).diagonal_blocks(sizes)
-
-
 class TestLipschitz:
     def test_identity(self):
         est = estimate_lipschitz(dense_op(np.eye(10)))

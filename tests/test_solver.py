@@ -1,4 +1,5 @@
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,29 +105,66 @@ class TestRidgeCG:
         ref = np.linalg.solve(A + 0.3 * np.eye(n), h)
         assert np.linalg.norm(rep.beta - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("case", ["basis", "no-basis", "duplicates"])
+    def test_scaling_solves_its_matrix(self, rng, case):
+        # B is K + lam I on the coarse block [0, c) and diag(K) + lam on the
+        # rest; N = 600 with q = 1 has a coarse block of c = 384.  In the
+        # duplicates case every entry is stored as two halves, so the
+        # operator is not canonical and its duplicates must be summed
+        n, lam = 600, 0.3
+        _, basis, op = kernel_setup(rng, n)
+        c = solver._coarse_size(basis)
+        assert 0 < c < n
+        if case == "no-basis":
+            basis, c = None, 0
+        if case == "duplicates":
+            # each row's entries twice, at half their values
+            m = op.matrix
+            rows = np.repeat(np.arange(n), np.diff(m.indptr))
+            at = np.argsort(np.tile(rows, 2), kind="stable")
+            op = CompressedOperator(scipy.sparse.csr_matrix(
+                (np.tile(m.data / 2, 2)[at], np.tile(m.indices, 2)[at],
+                 2 * m.indptr), shape=m.shape), 0.0, 0.0)
+            assert not op.matrix.has_canonical_format
+        K = op.to_dense()
+        B = np.diag(K.diagonal() + lam)
+        B[:c, :c] = K[:c, :c] + lam * np.eye(c)
+        v = rng.standard_normal(n)
+        z = solver._block_scaling(op, lam, basis)(v)
+        ref = np.linalg.solve(B, v)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_indefinite_block_rejected(self, rng):
+        # a diagonal entry below zero, and a positive diagonal under a
+        # coarse block with a negative 2 x 2 minor
         A = random_spd(6, rng, ridge=1.0)
         A[2, 2] = -1.0
-        with pytest.raises(SolverError, match="not positive definite"):
-            ridge_cg(dense_op(A), np.ones(6), 0.5, diagonal_scaling=True)
+        _, basis, op = kernel_setup(rng, 64)
+        C = op.to_dense()
+        C[0, 1] = C[1, 0] = 10.0 * C.diagonal().max()
+        assert solver._coarse_size(basis) > 1 and C.diagonal().min() > 0
+        for A, b in ((A, None), (C, basis)):
+            with pytest.raises(SolverError, match="not positive definite"):
+                ridge_cg(dense_op(A), np.ones(A.shape[0]), 0.5,
+                         diagonal_scaling=True, basis=b)
 
     def test_block_scaling_memory_limit(self, rng, monkeypatch):
-        # N = 256 with q = 1 fits in one coarse block of 256 x 256; without
-        # a basis there are 256 blocks of one entry.  The refusal comes
-        # before any block entry is read
+        # N = 256 with q = 1 fits in one coarse block of 256 x 256 beside
+        # the diagonal of 256; without a basis there is the diagonal alone.
+        # The refusal comes before any entry of K is read: there the
+        # operator's matrix has a shape and nothing else
         n = 256
         cloud, basis, op = kernel_setup(rng, n)
         h = basis.forward(rng.standard_normal(n))
+        unread = CompressedOperator(SimpleNamespace(shape=op.shape), 0.0, 0.0)
         memory = "sampletbp.geometry.physical_memory"
-        for b, entries in ((basis, n * n), (None, n)):
+        for b, entries in ((basis, n * n + n), (None, n)):
             need = 8 * solver.SCALING_COPIES * entries
             monkeypatch.setattr(memory, lambda: need)
             ridge_cg(op, h, 0.1, diagonal_scaling=True, basis=b)
             monkeypatch.setattr(memory, lambda: need - 1)
-            with monkeypatch.context() as m:
-                m.setattr(CompressedOperator, "diagonal_blocks", None)
-                with pytest.raises(BudgetError, match="physical memory"):
-                    ridge_cg(op, h, 0.1, diagonal_scaling=True, basis=b)
+            with pytest.raises(BudgetError, match="physical memory"):
+                ridge_cg(unread, h, 0.1, diagonal_scaling=True, basis=b)
 
     def test_large_lambda_asymptotics(self, rng):
         A = random_spd(20, rng)
