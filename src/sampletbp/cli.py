@@ -352,8 +352,8 @@ def build_parser():
 
     sp = sub.add_parser("transform", help="apply the samplet transform")
     sp.add_argument("--points", required=True)
-    sp.add_argument("--input", required=True, help="vector CSV: one column or one row, "
-                    "optional header line")
+    sp.add_argument("--input", required=True,
+                    help="vector CSV: one column or one row, optional header")
     sp.add_argument("--output", required=True)
     sp.add_argument("--inverse", action="store_true")
     sp.add_argument("--q", type=int, default=3)

@@ -95,7 +95,7 @@ class TestRidgeCG:
             <= 1e-6 * np.linalg.norm(plain.beta)
 
     def test_diagonal_scaling_without_basis(self, rng):
-        # without a basis every block is one index: Jacobi scaling, whose
+        # without a basis the scaling is the diagonal alone: Jacobi, whose
         # solution is the dense solve's
         n = 40
         A = random_spd(n, rng) * rng.uniform(0.1, 10.0, n)
