@@ -3,19 +3,22 @@
 Each case of ``CASES`` (seed 1 and the other ``sampletbp bench`` defaults)
 runs as one fresh ``python -m sampletbp.cli bench ... --report`` process on
 the package in this checkout's ``src/``, so that each peak RSS is that
-case's own. For each case this writes ``BENCH_<case>_<N>_<solver>.json``: the
-report's stage timings (wall time and the process's peak RSS after each
-stage), the operator summary, the solver's iterations, objective,
-``beta_sha256`` and ``extras`` counters, ``rel_l2_error``, and the commit,
-host and library versions it ran with.
+case's own; a case with a grid also evaluates the field on it (``--field``,
+stage ``grid``). For each case this writes
+``BENCH_<case>_<N>_<solver>.json``: the report's stage timings (wall time
+and the process's peak RSS after each stage), the operator summary, the
+solver's iterations, objective, ``beta_sha256`` and ``extras`` counters,
+``rel_l2_error``, the ``field_sha256`` of the field CSV for a case with a
+grid, and the commit, host and library versions it ran with.
 
     python scripts/bench.py [--out DIR]
     python scripts/bench.py --compare DIR_A DIR_B
 
 ``--compare`` prints, for every case in both directories, each stage's
-wall time and peak RSS side by side and whether beta is bit for bit the
-same, and names each case found on one side only. It exits 1 when a beta
-differs or a case is missing, else 0. Compare only runs of different code
+wall time and peak RSS side by side and whether beta, and the field of a
+case with a grid, is bit for bit the same, and names each case found on one
+side only. It exits 1 when a beta or a field differs or a case is missing,
+else 0. Compare only runs of different code
 on the same machine, close in time.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import platform
@@ -31,12 +35,13 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# (generator, N, solver); spss 2000 fista is the paper's single-scale
-# baseline
-CASES = (("cartoon", 6000, "ridge"),
-         ("spss", 2000, "ir_mrssn"), ("spms", 2000, "ir_mrssn"),
-         ("spss", 10_000, "ir_mrssn"), ("spms", 10_000, "ir_mrssn"),
-         ("spss", 2000, "fista"))
+# (generator, N, solver, grid or None); spss 2000 fista is the paper's
+# single-scale baseline, and cartoon 6000 evaluates perfbench's 40 x 40 grid
+CASES = (("cartoon", 6000, "ridge", "40x40"),
+         ("spss", 2000, "ir_mrssn", None), ("spms", 2000, "ir_mrssn", None),
+         ("spss", 10_000, "ir_mrssn", None),
+         ("spms", 10_000, "ir_mrssn", None),
+         ("spss", 2000, "fista", None))
 
 
 def _git(*args):
@@ -60,22 +65,27 @@ def provenance():
             "python": platform.python_version()}
 
 
-def run_case(case, n, solver, host):
+def run_case(case, n, solver, grid, host):
     """One ``bench`` process; its BENCH record."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
+        field = os.path.join(tmp, "field.csv")
         subprocess.run([sys.executable, "-m", "sampletbp.cli", "bench",
                         "--case", case, "--n", str(n), "--solver", solver,
                         "--report", report,
-                        "--table", os.path.join(tmp, "table.csv")],
+                        "--table", os.path.join(tmp, "table.csv")]
+                       + (["--field", field, "--grid", grid] if grid else []),
                        env=env, check=True)
         with open(report) as fh:
             payload = json.load(fh)
+        if grid:
+            with open(field, "rb") as fh:
+                field_sha256 = hashlib.sha256(fh.read()).hexdigest()
     rep = payload["report"]
-    return {
+    record = {
         "case": case, "n": n, "solver": solver,
         "timings": payload["timings"],
         "operator": payload["operator"],
@@ -88,12 +98,16 @@ def run_case(case, n, solver, host):
         "provenance": {**host, "numpy": payload["numpy"],
                        "scipy": payload["scipy"]},
     }
+    if grid:
+        record["field_sha256"] = field_sha256
+    return record
 
 
 def compare(dir_a, dir_b):
     """Print each stage's wall time and peak RSS of the cases in both
-    directories side by side, and whether beta is identical; 1 if a beta
-    differs or a case is in one directory only, else 0."""
+    directories side by side, and whether beta, and the field where either
+    side has one, is identical; 1 if one differs or a case is in one
+    directory only, else 0."""
     print(f"{'case':<20} {'stage':<9} {'A s':>8} {'B s':>8} {'B/A':>6} "
           f"{'A MB':>7} {'B MB':>7}")
     names = [{os.path.basename(p) for p in
@@ -115,10 +129,16 @@ def compare(dir_a, dir_b):
             print(f"{name:<20} {stage:<9} {ta['wall_s']:>8.3f} "
                   f"{tb['wall_s']:>8.3f} {tb['wall_s'] / ta['wall_s']:>6.3f} "
                   f"{ta['peak_rss_mb']:>7.1f} {tb['peak_rss_mb']:>7.1f}")
-        same = a["solve"]["beta_sha256"] == b["solve"]["beta_sha256"]
-        print(f"{name:<20} beta {'identical' if same else 'DIFFERENT'}")
-        if not same:
-            status = 1
+        checks = [("beta", a["solve"]["beta_sha256"],
+                   b["solve"]["beta_sha256"])]
+        if "field_sha256" in a or "field_sha256" in b:
+            checks.append(("field", a.get("field_sha256"),
+                           b.get("field_sha256")))
+        for what, hash_a, hash_b in checks:
+            same = hash_a == hash_b
+            print(f"{name:<20} {what} {'identical' if same else 'DIFFERENT'}")
+            if not same:
+                status = 1
     return status
 
 
@@ -133,8 +153,8 @@ def main(argv=None):
         return compare(*args.compare)
     os.makedirs(args.out, exist_ok=True)
     host = provenance()
-    for case, n, solver in CASES:
-        record = run_case(case, n, solver, host)
+    for case, n, solver, grid in CASES:
+        record = run_case(case, n, solver, grid, host)
         path = os.path.join(args.out, f"BENCH_{case}_{n}_{solver}.json")
         with open(path, "w") as fh:
             json.dump(record, fh, indent=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import resource
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from math import comb, inf, prod
@@ -10,7 +11,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .geometry import PointCloud, build_cluster_tree, require_memory
+from .geometry import (PointCloud, build_cluster_tree, pool_workers,
+                       require_memory)
 from .kernel import CROSS_COPIES, KernelSpec, cross_matrix
 from .samplet import SampletBasis, build_samplet_basis
 
@@ -23,7 +25,14 @@ GENERATORS = ("spss", "spms", "cartoon")
 # a ridge coefficient below this share of the largest one does not count
 # towards beta_nnz
 RIDGE_DROP_REL = 1e-4
-GRID_CHUNK = 256  # grid points evaluated per kernel block in grid_eval
+# bytes of the kernel block of one chunk of grid points in grid_eval.  On 2
+# cores, a 40 x 40 grid (medians of 9 calls, one / two workers): 0.5, 1 and
+# 2 MiB took 58 / 35, 53 / 30 and 61 / 32 ms at N = 6000 and 194 / 124,
+# 184 / 117 and 194 / 104 ms at N = 2*10^4
+GRID_BLOCK = 1 << 20
+# a pool thread's own objects, counted per worker of grid_eval (tracemalloc:
+# 10.6 kB for one thread)
+THREAD_BYTES = 1 << 16
 
 
 @dataclass
@@ -199,26 +208,56 @@ def metrics(report, data: BenchData, op):
     return rec
 
 
+def grid_rows(n):
+    """Grid points per chunk of ``grid_eval`` at N = n: the largest power of
+    two whose rows of N float64 fit GRID_BLOCK bytes, at least one.  Counts
+    that are not powers of two, or are below four, change the field in its
+    last bits against larger powers of two, because OpenBLAS's gemv takes a
+    block's tail rows on another path."""
+    fit = GRID_BLOCK // (8 * n)
+    return 1 << (fit.bit_length() - 1) if fit else 1
+
+
 def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
     """Direct-summation evaluation of a (multi-kernel) interpolant on a grid.
 
     alphas and kernels are parallel lists; pass single-element lists for one
-    kernel.  grid_points is (M, d).
+    kernel.  grid_points is (M, d).  The grid is evaluated in chunks of
+    ``grid_rows(N)`` points on a pool of threads sized like ``compress``'s,
+    each chunk summing its kernels in list order, so the field does not
+    depend on the number of threads.  The output and each worker's kernel
+    blocks and coordinates must fit in memory, checked before any kernel
+    entry is computed.
     """
     if len(alphas) != len(kernels):
         raise BenchError(f"{len(alphas)} coefficient vectors for "
                          f"{len(kernels)} kernels")
+    n = cloud.n
+    alphas = [np.asarray(alpha, dtype=float) for alpha in alphas]
+    for alpha in alphas:
+        if alpha.shape != (n,):
+            raise BenchError(f"coefficient vector of shape {alpha.shape} "
+                             f"for N = {n} points")
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    (m, d), n = grid_points.shape, cloud.n
-    require_memory(8 * (m + min(m, GRID_CHUNK) * (CROSS_COPIES * n + d)
-                        + n * d), f"grid evaluation of {m} points at N = {n}")
+    m, d = grid_points.shape
+    rows = max(1, min(m, grid_rows(n)))
+    starts = range(0, m, rows)
+    # CROSS_COPIES blocks beside the point copies of a tensor, per worker
+    worker = 8 * (rows * (CROSS_COPIES * n + d) + n * d) + THREAD_BYTES
+    workers = max(1, min(len(starts), pool_workers(worker)))
+    require_memory(8 * m + workers * worker,
+                   f"grid evaluation of {m} points at N = {n}")
     out = np.zeros(m)
-    for alpha, spec in zip(alphas, kernels):
-        alpha = np.asarray(alpha, dtype=float)
-        for lo in range(0, m, GRID_CHUNK):
-            hi = min(lo + GRID_CHUNK, m)
-            out[lo:hi] += cross_matrix(spec, grid_points[lo:hi],
-                                       cloud.points) @ alpha
+
+    def evaluate(first):
+        for lo in starts[first::workers]:
+            pts = grid_points[lo:lo + rows]
+            for alpha, spec in zip(alphas, kernels):
+                out[lo:lo + rows] += cross_matrix(spec, pts,
+                                                  cloud.points) @ alpha
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(evaluate, range(workers)))
     return out
 
 

@@ -30,6 +30,14 @@ def require_memory(need, what):
                           f"physical memory is {have / 2**30:.1f} GiB")
 
 
+def pool_workers(worker_bytes):
+    """Threads of a pool whose workers each hold ``worker_bytes``: one per
+    core this process may run on, and no more than physical memory holds;
+    at least one."""
+    fit = physical_memory() // max(1, worker_bytes)
+    return max(1, min(len(os.sched_getaffinity(0)), fit))
+
+
 def bounding_box(points):
     """Componentwise min/max box of a nonempty point set, shape (2, d)."""
     pts = np.asarray(points, dtype=float)

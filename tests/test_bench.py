@@ -1,10 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from sampletbp import (BudgetError, KernelSpec, PointCloud, generate,
                        grid_eval, metrics)
-from sampletbp.bench import (GRID_CHUNK, BenchError, BenchmarkCase,
-                             cartesian_grid, spms_index_window)
+from sampletbp.bench import (THREAD_BYTES, BenchError, BenchmarkCase,
+                             cartesian_grid, grid_rows, spms_index_window)
 from sampletbp.kernel import CROSS_COPIES, assemble_dense, evaluate
 from sampletbp.solver import SolveReport
 
@@ -198,13 +201,70 @@ class TestGridEval:
             grid_eval([np.ones(10)] * n_alphas, [KernelSpec("matern32")] * 2,
                       cloud, rng.uniform(0, 1, (5, 2)))
 
+    @pytest.mark.parametrize("shape", [(7,), (10, 2)],
+                             ids=["short", "two-columns"])
+    def test_coefficients_checked_first(self, rng, monkeypatch, shape):
+        # a coefficient vector of another shape is refused before the
+        # memory check and before any kernel entry is computed
+        cloud = PointCloud(rng.uniform(0, 1, (10, 2)))
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: pytest.fail("memory checked"))
+        monkeypatch.setattr("sampletbp.bench.cross_matrix",
+                            lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(BenchError, match="coefficient vector of shape"):
+            grid_eval([np.ones(10), np.ones(shape)],
+                      [KernelSpec("matern32")] * 2, cloud,
+                      rng.uniform(0, 1, (5, 2)))
+
+    def test_workers_give_the_same_field(self, rng, monkeypatch):
+        # chunks of 16 points, the last one short, on one, two and four
+        # workers (more than this machine may have cores, and threads
+        # switched often), two kernels of which one is a tensor: the same
+        # field bit for bit, and the naive double loop's
+        n = 60
+        cloud = PointCloud(rng.uniform(-0.5, 0.5, (n, 2)))
+        kernels = [KernelSpec("matern32", length=0.25), KernelSpec(
+            "tensor", components=((KernelSpec("gaussian", length=0.3), (0,)),
+                                  (KernelSpec("exponential", length=0.2),
+                                   (1,))))]
+        alphas = [rng.standard_normal(n) for _ in kernels]
+        monkeypatch.setattr("sampletbp.bench.GRID_BLOCK", 8 * n * 16)
+        assert grid_rows(n) == 16
+        grid = rng.uniform(-0.5, 0.5, (3 * 16 + 5, 2))
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr("sampletbp.bench.ThreadPoolExecutor", Pool)
+        fields = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 4):
+                monkeypatch.setattr("os.sched_getaffinity",
+                                    lambda pid, cores=cores: set(range(cores)))
+                fields.append(grid_eval(alphas, kernels, cloud, grid))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [1, 2, 4]
+        for field in fields[1:]:
+            assert np.array_equal(field, fields[0])
+        naive = np.array([sum(a[i] * evaluate(k, g, cloud.points[i])
+                              for a, k in zip(alphas, kernels)
+                              for i in range(n)) for g in grid])
+        assert np.abs(fields[0] - naive).max() <= 1e-12
+
     def test_budget(self, rng, monkeypatch):
-        # the outputs and one chunk's kernel blocks and coordinates must fit
-        # in memory; checked before any kernel entry is computed
+        # the outputs and one worker's kernel blocks and coordinates must
+        # fit in memory; checked before any kernel entry is computed
         cloud = PointCloud(rng.uniform(0, 1, (100, 2)))
-        grid = np.zeros((2 * GRID_CHUNK, 2))
-        need = 8 * (2 * GRID_CHUNK + GRID_CHUNK * (CROSS_COPIES * 100 + 2)
-                    + 100 * 2)
+        rows = grid_rows(100)
+        grid = np.zeros((2 * rows, 2))
+        need = (8 * (2 * rows + rows * (CROSS_COPIES * 100 + 2) + 100 * 2)
+                + THREAD_BYTES)
         memory = "sampletbp.geometry.physical_memory"
         monkeypatch.setattr(memory, lambda: need - 1)
         with monkeypatch.context() as m:
@@ -215,7 +275,17 @@ class TestGridEval:
                           grid)
         monkeypatch.setattr(memory, lambda: need)
         assert grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
-                         grid).shape == (2 * GRID_CHUNK,)
+                         grid).shape == (2 * rows,)
+
+    def test_chunk_rows(self, monkeypatch):
+        # the largest power of two whose rows of N float64 fit GRID_BLOCK,
+        # at least one
+        monkeypatch.setattr("sampletbp.bench.GRID_BLOCK", 1 << 20)
+        assert grid_rows(6000) == 16
+        assert grid_rows(2 * 10**4) == 4
+        assert grid_rows(1 << 17) == 1
+        assert grid_rows(10**6) == 1
+        assert grid_rows(1) == 1 << 17
 
     def test_grid_too_large(self, monkeypatch):
         # the points are refused before they are allocated

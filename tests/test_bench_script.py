@@ -15,7 +15,7 @@ def load_script():
 
 def test_bench_files_and_compare(tmp_path, monkeypatch, capsys):
     script = load_script()
-    monkeypatch.setattr(script, "CASES", (("spss", 300, "ir_mrssn"),))
+    monkeypatch.setattr(script, "CASES", (("spss", 300, "ir_mrssn", None),))
     assert script.main(["--out", str(tmp_path)]) == 0
     name = "BENCH_spss_300_ir_mrssn.json"
     assert [p.name for p in tmp_path.iterdir()] == [name]
@@ -53,3 +53,27 @@ def test_bench_files_and_compare(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"{name} only in A" in out
     assert "BENCH_spss_400_ir_mrssn.json only in B" in out
+
+
+def test_field_recorded_and_compared(tmp_path, monkeypatch, capsys):
+    # a case with a grid times the stage "grid", records the field's hash,
+    # and --compare exits 1 when the field differs though beta does not
+    script = load_script()
+    monkeypatch.setattr(script, "CASES", (("cartoon", 300, "ridge", "8x8"),))
+    assert script.main(["--out", str(tmp_path)]) == 0
+    name = "BENCH_cartoon_300_ridge.json"
+    record = json.loads((tmp_path / name).read_text())
+    assert list(record["timings"]) == ["tree", "basis", "data", "compress",
+                                       "solve", "grid"]
+    assert len(record["field_sha256"]) == 64
+    capsys.readouterr()
+    assert script.main(["--compare", str(tmp_path), str(tmp_path)]) == 0
+    assert "cartoon 300 ridge    field identical" in capsys.readouterr().out
+    other = tmp_path / "other"
+    other.mkdir()
+    record["field_sha256"] = "0" * 64
+    (other / name).write_text(json.dumps(record))
+    assert script.main(["--compare", str(tmp_path), str(other)]) == 1
+    out = capsys.readouterr().out
+    assert "cartoon 300 ridge    beta identical" in out
+    assert "cartoon 300 ridge    field DIFFERENT" in out

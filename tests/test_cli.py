@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_op
 from sampletbp import cli
-from sampletbp.bench import GRID_CHUNK
+from sampletbp.bench import THREAD_BYTES, grid_rows
 from sampletbp.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_SOLVER,
                            EXIT_USAGE, build_parser, ingest_labeled_csv,
                            kernels_from_config, parse_config_file, run)
@@ -189,8 +189,10 @@ class TestFitEval:
         pts_only = tmp_path / "pts.csv"
         table = np.loadtxt(data, delimiter=",", ndmin=2)
         write_points(pts_only, table[:, :2])
-        # memory for the 50 x 50 points but not for evaluating them
-        need = 8 * (2500 + GRID_CHUNK * (CROSS_COPIES * 150 + 2) + 150 * 2)
+        # memory for the 50 x 50 points but not for evaluating them on one
+        # worker
+        need = 8 * (2500 + grid_rows(150) * (CROSS_COPIES * 150 + 2)
+                    + 150 * 2) + THREAD_BYTES
         monkeypatch.setattr("sampletbp.geometry.physical_memory",
                             lambda: need - 1)
         field = tmp_path / "f.csv"

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from conftest import traced_peak
 from sampletbp import (BudgetError, KernelSpec, PointCloud, assemble_dense,
                        evaluate, grid_eval)
-from sampletbp.bench import GRID_CHUNK
+from sampletbp.bench import THREAD_BYTES, grid_rows
 from sampletbp.kernel import (CROSS_COPIES, KernelError, cross_matrix,
                               radial_profile)
 
@@ -145,12 +145,15 @@ class TestAssemble:
     @pytest.mark.parametrize("spec", [RADIAL[0], TENSOR],
                              ids=["radial", "tensor"])
     def test_peak_memory_within_estimate(self, rng, spec, monkeypatch):
-        # dense assembly and grid evaluation (three chunks) peak at or below
-        # their estimates: a machine one byte short of the peak is refused
-        n, m, d = 600, 2 * GRID_CHUNK + 100, 3
+        # dense assembly and grid evaluation (three chunks, one worker) peak
+        # at or below their estimates: a machine one byte short of the peak
+        # is refused
+        n, d = 600, 3
+        m = 2 * grid_rows(n) + 100
         cloud = PointCloud(rng.uniform(0, 1, (n, d)))
         grid = rng.uniform(0, 1, (m, d))
         alpha = rng.standard_normal(n)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         for run in (lambda: assemble_dense(spec, cloud),
                     lambda: grid_eval([alpha], [spec], cloud, grid)):
             peak = traced_peak(run)
@@ -159,6 +162,22 @@ class TestAssemble:
                               lambda: peak - 1)
                 with pytest.raises(BudgetError):
                     run()
+
+    @pytest.mark.parametrize("spec", [RADIAL[0], TENSOR],
+                             ids=["radial", "tensor"])
+    def test_grid_peak_on_two_workers(self, rng, spec, monkeypatch):
+        # two workers, each with its kernel blocks and coordinates, peak at
+        # or below the output plus two workers' share
+        n, d = 600, 3
+        rows = grid_rows(n)
+        m = 2 * rows + 100
+        cloud = PointCloud(rng.uniform(0, 1, (n, d)))
+        grid = rng.uniform(0, 1, (m, d))
+        alpha = rng.standard_normal(n)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        peak = traced_peak(lambda: grid_eval([alpha], [spec], cloud, grid))
+        worker = 8 * (rows * (CROSS_COPIES * n + d) + n * d) + THREAD_BYTES
+        assert peak <= 8 * m + 2 * worker
 
 
 class TestSpecs:

@@ -17,7 +17,7 @@ from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        estimate_lipschitz, fista, ir_mrssn)
 from sampletbp.kernel import cross_matrix
 from sampletbp.operator import (KEPT_BYTES, PANEL, PANEL_COPIES,
-                                OperatorError, compress_peak_bytes,
+                                OperatorError, _mirror, compress_peak_bytes,
                                 panel_workers)
 
 
@@ -298,6 +298,41 @@ class TestCompress:
         with pytest.raises(BudgetError, match="tau = 0 needs"):
             compress(basis, MATERN, cloud, tau=0.0)
         assert compress(basis, MATERN, cloud, tau=1e-4).nnz == op.nnz
+
+
+class TestMirror:
+    @pytest.mark.parametrize("cuts", [
+        (0, 0, 70, 70, 200, 300),  # empty parts, rows shared across parts
+        (0, 300),  # one part
+        (0, 0),  # the diagonal alone
+    ], ids=["parts", "one-part", "diagonal-only"])
+    def test_matches_coo_conversion(self, rng, cuts):
+        # distinct off-diagonal pairs, one of each, either way round, some
+        # exactly zero, split into int32 parts; the oracle converts the
+        # entries, their mirror images and the diagonal as COO triples
+        n = 40
+        upper = np.triu_indices(n, 1)
+        pick = rng.choice(upper[0].size, size=cuts[-1], replace=False)
+        flip = rng.random(pick.size) < 0.5
+        rows = np.where(flip, upper[1][pick], upper[0][pick])
+        cols = np.where(flip, upper[0][pick], upper[1][pick])
+        vals = rng.standard_normal(pick.size)
+        vals[::50] = 0.0
+        diagonal = rng.standard_normal(n)
+        parts = [(rows[lo:hi].astype(np.int32), cols[lo:hi].astype(np.int32),
+                  vals[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        d = np.arange(n)
+        oracle = scipy.sparse.csr_matrix(
+            (np.concatenate([vals, vals, diagonal]),
+             (np.concatenate([rows, cols, d]),
+              np.concatenate([cols, rows, d]))), shape=(n, n))
+        matrix = _mirror(diagonal, parts)
+        assert parts == []
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, part), getattr(oracle, part)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert matrix.has_canonical_format
 
 
 class TestMatvec:
