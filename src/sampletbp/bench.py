@@ -210,12 +210,14 @@ def metrics(report, data: BenchData, op):
 
 def grid_rows(n):
     """Grid points per chunk of ``grid_eval`` at N = n: the largest power of
-    two whose rows of N float64 fit GRID_BLOCK bytes, at least one.  Counts
-    that are not powers of two, or are below four, change the field in its
-    last bits against larger powers of two, because OpenBLAS's gemv takes a
-    block's tail rows on another path."""
-    fit = GRID_BLOCK // (8 * n)
-    return 1 << (fit.bit_length() - 1) if fit else 1
+    two whose rows of N float64 fit GRID_BLOCK bytes, and at least four.
+    OpenBLAS's gemv takes rows four at a time and the rest on another path:
+    against chunks of 256 points, counts that are not powers of two change
+    the field in its last bits at N = 6000, and chunks of one or two points
+    change most of its points at N = 4*10^4 to 10^6, where four change at
+    most 5 of 301."""
+    fit = max(4, GRID_BLOCK // (8 * n))
+    return 1 << (fit.bit_length() - 1)
 
 
 def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
@@ -244,7 +246,7 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
     starts = range(0, m, rows)
     # CROSS_COPIES blocks beside the point copies of a tensor, per worker
     worker = 8 * (rows * (CROSS_COPIES * n + d) + n * d) + THREAD_BYTES
-    workers = max(1, min(len(starts), pool_workers(worker)))
+    workers = max(1, min(len(starts), pool_workers(worker, 8 * m)))
     require_memory(8 * m + workers * worker,
                    f"grid evaluation of {m} points at N = {n}")
     out = np.zeros(m)

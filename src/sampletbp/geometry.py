@@ -30,11 +30,11 @@ def require_memory(need, what):
                           f"physical memory is {have / 2**30:.1f} GiB")
 
 
-def pool_workers(worker_bytes):
-    """Threads of a pool whose workers each hold ``worker_bytes``: one per
-    core this process may run on, and no more than physical memory holds;
-    at least one."""
-    fit = physical_memory() // max(1, worker_bytes)
+def pool_workers(worker_bytes, shared_bytes=0):
+    """Threads of a pool whose workers each hold ``worker_bytes`` beside
+    ``shared_bytes`` held once: one per core this process may run on, and
+    no more than physical memory holds; at least one."""
+    fit = (physical_memory() - shared_bytes) // max(1, worker_bytes)
     return max(1, min(len(os.sched_getaffinity(0)), fit))
 
 

@@ -201,11 +201,10 @@ PANEL = 512  # a cluster of at most PANEL points is not split further
 # (tracemalloc: 3.3 to 3.5 with one or two workers at N = 2048, where the
 # blocks are 512 x 512)
 PANEL_COPIES = 4
-# bytes per kept entry at the peak of _mirror: its conversion's shared
-# int32 indices and float64 values beside the result (tracemalloc, one
-# worker: 51.3, 51.7 and 50.6 for cartoon at N = 6000 and spss at N = 2000
-# and 10^4, parts included)
-KEPT_BYTES = 54
+# bytes per kept entry at the peak of _mirror: the parts' int32 rows and
+# columns and float64 values beside the mirrored triples (tracemalloc: 56.8
+# to 58.2 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
+KEPT_BYTES = 60
 BATCH = 4  # base pairs per worker handed to the pool at a time
 
 
@@ -214,8 +213,7 @@ def _worker_bytes(n):
 
 
 def panel_workers(n):
-    """Threads of ``compress`` at N = n: one per core this process may run
-    on, and no more than physical memory holds; at least one."""
+    """Threads of ``compress`` at N = n, each with its blocks."""
     return geometry.pool_workers(_worker_bytes(n))
 
 
@@ -278,9 +276,8 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     total_sq = sum(part[0] for part in build.parts)
     dropped_sq = sum(part[1] for part in build.parts)
     kept = [part[2:] for part in build.parts]
-    diagonal = build.diagonal
     del build
-    matrix = _mirror(diagonal, kept)
+    matrix = _mirror(n, kept)
     est = np.sqrt(dropped_sq / total_sq) if total_sq > 0 else 0.0
     # exactly symmetric and canonical, so K^T's CSR is K's: held once
     return CompressedOperator(matrix=matrix, threshold=float(tau),
@@ -319,15 +316,14 @@ def _base_pairs(a, b):
 class _Build:
     """State of one ``compress`` call: its inputs, with the points in tree
     order, the thread pool's ``map`` and the number of base pairs handed to
-    it at a time, the bytes of the working buffers, the thresholded parts
-    of C, in the order they are made, and C's diagonal, with their count of
-    kept entries."""
+    it at a time, the bytes of the working buffers, and the thresholded
+    parts of C, in the order they are made, with their count of kept
+    entries."""
 
     def __init__(self, basis, spec, points, tau, pool_map, batch, buffers):
         self.basis, self.spec, self.points, self.tau = basis, spec, points, tau
         self.map, self.batch, self.buffers = pool_map, batch, buffers
         self.parts = []
-        self.diagonal = np.empty(len(points))
         self.kept = 0
         self.what = f"compression at N = {len(points)} with tau = {tau:g}"
 
@@ -355,10 +351,8 @@ class _Build:
         m = blk.m_scal
         k = 0 if root else m  # the first row and column thresholded here
         glob = basis.local_order if root else blk.glob
-        rows = glob[:C.shape[0] - k]
-        self.kept += rows.size  # their diagonal entries
-        self.keep(_threshold(C[k:, k:], rows, glob, self.tau,
-                             diagonal=self.diagonal))
+        self.keep(_threshold(C[k:, k:], glob[:C.shape[0] - k], glob,
+                             self.tau, diagonal=True))
         return C[:m].copy()
 
     def _split(self, blk, S_a, S_b):
@@ -438,33 +432,30 @@ def _check_threshold(tau):
         raise OperatorError(f"threshold tau must be nonnegative, not {tau}")
 
 
-def _threshold(X, rows, cols, tau, diagonal=None):
+def _threshold(X, rows, cols, tau, diagonal=False):
     """Threshold the block X = C[rows][:, cols] of a symmetric matrix C and
-    overwrite X.  The rows are none of the block's columns, or, given the
-    array ``diagonal`` of C's diagonal, its leading columns, whose entries
-    above C's diagonal are left to their mirror images and whose diagonal
-    entries are written to ``diagonal[rows]``.
+    overwrite X.  The rows are none of the block's columns, or with
+    ``diagonal`` its leading columns, whose entries above C's diagonal are
+    left to their mirror images.
 
-    Keeps the off-diagonal entries with |C| >= tau.  Returns the total and
-    the dropped squared mass of the block's share of C (off-diagonal
+    Keeps the entries with |C| >= tau and the diagonal.  Returns the total
+    and the dropped squared mass of the block's share of C (off-diagonal
     entries counted twice) and the rows, columns and values kept."""
     if not np.all(np.isfinite(X)):
         raise OperatorError("non-finite matrix entries")
     keep = X >= tau
     keep |= X <= -tau
     d = 0.0
-    if diagonal is not None:
+    if diagonal:
         h = X.shape[0]
         upper = rows[:, None] < rows  # above C's diagonal
         X[:, :h][upper] = 0.0
         keep[:, :h] &= ~upper  # only for tau <= 0 can a zero pass
         diag = (np.arange(h), np.arange(h))
-        keep[diag] = False
-        diagonal[rows] = d = X[diag]
+        keep[diag] = True
+        d = X[diag]
         d = float(d @ d)
     total = 2.0 * float(np.einsum("ij,ij->", X, X)) - d
-    if diagonal is not None:  # kept, so not in the dropped mass
-        X[diag] = 0.0
     # flat indices in row-major order, as np.nonzero gives them, but faster
     r, c = np.divmod(np.flatnonzero(keep), X.shape[1])
     vals = X[r, c]
@@ -474,38 +465,18 @@ def _threshold(X, rows, cols, tau, diagonal=None):
     return total, dropped, rows[r], cols[c], vals
 
 
-def _mirror(diagonal, parts):
-    """Exactly symmetric canonical CSR matrix from its diagonal and kept
-    off-diagonal entries (rows, cols, vals), one of each mirrored pair,
-    indexed in the type scipy keeps.
-
-    One COO to CSR conversion takes the entries, the diagonal and the
-    mirror images: its rows are [rows, d, cols] and its columns [cols, d,
-    rows], so one index array [cols, d, rows, d, cols] holds both, and no
-    mask picks out the diagonal.  Each part is freed once it is copied, and
-    the list of parts is emptied."""
-    n = diagonal.size
-    k = sum(part[0].size for part in parts)
-    nnz = 2 * k + n
-    idx = scipy.sparse.get_index_dtype(maxval=max(nnz, n))
-    z = np.empty(3 * k + 2 * n, dtype=idx)
-    z[k:k + n] = z[2 * k + n:2 * k + 2 * n] = np.arange(n)
-    x = np.empty(nnz)  # the values in the conversion's order
-    x[k:k + n] = diagonal
-    c1, r, c2 = z[:k], z[k + n:2 * k + n], z[2 * k + 2 * n:]
-    x1, x2 = x[:k], x[k + n:]
-    lo = 0
-    parts.reverse()
-    while parts:
-        rows, cols, vals = parts.pop()
-        hi = lo + rows.size
-        r[lo:hi] = rows
-        c1[lo:hi] = c2[lo:hi] = cols
-        x1[lo:hi] = x2[lo:hi] = vals
-        lo = hi
-        del rows, cols, vals
-    return scipy.sparse.coo_matrix((x, (z[k + n:], z[:2 * k + n])),
-                                   shape=(n, n)).tocsr()
+def _mirror(n, parts):
+    """Exactly symmetric canonical CSR matrix from kept entries (rows,
+    cols, vals), one of each mirrored pair and the diagonal, indexed in the
+    type scipy keeps, so that the conversion copies no index.  The list of
+    parts is emptied before the conversion."""
+    off = [rows != cols for rows, cols, _ in parts]
+    rows, cols, vals = (
+        np.concatenate([p[i] for p in parts]
+                       + [p[j][o] for p, o in zip(parts, off)])
+        for i, j in ((0, 1), (1, 0), (2, 2)))
+    parts.clear()
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 # power iteration of estimate_lipschitz: relative stopping tolerance,

@@ -277,14 +277,43 @@ class TestGridEval:
         assert grid_eval([np.zeros(100)], [KernelSpec("matern32")], cloud,
                          grid).shape == (2 * rows,)
 
+    def test_one_worker_beside_a_large_output(self, rng, monkeypatch):
+        # two cores, and memory for the output and one and a half workers:
+        # the pool is sized from what the output leaves, so one worker
+        # evaluates the grid rather than two being refused
+        n = 100
+        monkeypatch.setattr("sampletbp.bench.GRID_BLOCK", 8 * n * 4)
+        rows = grid_rows(n)
+        m = 1200 * rows
+        worker = (8 * (rows * (CROSS_COPIES * n + 2) + n * 2)
+                  + THREAD_BYTES)
+        assert 8 * m + 1.5 * worker >= 2 * worker
+        monkeypatch.setattr("sampletbp.geometry.physical_memory",
+                            lambda: 8 * m + 3 * worker // 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr("sampletbp.bench.ThreadPoolExecutor", Pool)
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)))
+        field = grid_eval([np.ones(n)], [KernelSpec("matern32")], cloud,
+                          rng.uniform(0, 1, (m, 2)))
+        assert field.shape == (m,)
+        assert sizes == [1]
+
     def test_chunk_rows(self, monkeypatch):
         # the largest power of two whose rows of N float64 fit GRID_BLOCK,
-        # at least one
+        # at least four
         monkeypatch.setattr("sampletbp.bench.GRID_BLOCK", 1 << 20)
         assert grid_rows(6000) == 16
         assert grid_rows(2 * 10**4) == 4
-        assert grid_rows(1 << 17) == 1
-        assert grid_rows(10**6) == 1
+        assert grid_rows(1 << 15) == 4
+        assert grid_rows(1 << 17) == 4
+        assert grid_rows(10**6) == 4
         assert grid_rows(1) == 1 << 17
 
     def test_grid_too_large(self, monkeypatch):

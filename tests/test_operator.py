@@ -302,31 +302,30 @@ class TestCompress:
 
 class TestMirror:
     @pytest.mark.parametrize("cuts", [
-        (0, 0, 70, 70, 200, 300),  # empty parts, rows shared across parts
-        (0, 300),  # one part
-        (0, 0),  # the diagonal alone
+        (0, 0, 70, 70, 200, 340),  # empty parts, rows shared across parts
+        (0, 340),  # one part
+        (0, 300, 340),  # a part of the diagonal alone
     ], ids=["parts", "one-part", "diagonal-only"])
     def test_matches_coo_conversion(self, rng, cuts):
         # distinct off-diagonal pairs, one of each, either way round, some
-        # exactly zero, split into int32 parts; the oracle converts the
-        # entries, their mirror images and the diagonal as COO triples
-        n = 40
+        # exactly zero, then the diagonal, split into int32 parts; the
+        # oracle converts the entries and their off-diagonal mirror images
+        # as COO triples
+        n, k = 40, 300
         upper = np.triu_indices(n, 1)
-        pick = rng.choice(upper[0].size, size=cuts[-1], replace=False)
-        flip = rng.random(pick.size) < 0.5
-        rows = np.where(flip, upper[1][pick], upper[0][pick])
-        cols = np.where(flip, upper[0][pick], upper[1][pick])
-        vals = rng.standard_normal(pick.size)
+        pick = rng.choice(upper[0].size, size=k, replace=False)
+        flip = rng.random(k) < 0.5
+        d = np.arange(n)
+        rows = np.r_[np.where(flip, upper[1][pick], upper[0][pick]), d]
+        cols = np.r_[np.where(flip, upper[0][pick], upper[1][pick]), d]
+        vals = rng.standard_normal(k + n)
         vals[::50] = 0.0
-        diagonal = rng.standard_normal(n)
         parts = [(rows[lo:hi].astype(np.int32), cols[lo:hi].astype(np.int32),
                   vals[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        d = np.arange(n)
         oracle = scipy.sparse.csr_matrix(
-            (np.concatenate([vals, vals, diagonal]),
-             (np.concatenate([rows, cols, d]),
-              np.concatenate([cols, rows, d]))), shape=(n, n))
-        matrix = _mirror(diagonal, parts)
+            (np.r_[vals, vals[:k]], (np.r_[rows, cols[:k]],
+                                     np.r_[cols, rows[:k]])), shape=(n, n))
+        matrix = _mirror(n, parts)
         assert parts == []
         for part in ("indptr", "indices", "data"):
             got, want = getattr(matrix, part), getattr(oracle, part)
