@@ -211,11 +211,12 @@ def metrics(report, data: BenchData, op):
 def grid_rows(n):
     """Grid points per chunk of ``grid_eval`` at N = n: the largest power of
     two whose rows of N float64 fit GRID_BLOCK bytes, and at least four.
-    OpenBLAS's gemv takes rows four at a time and the rest on another path:
-    against chunks of 256 points, counts that are not powers of two change
-    the field in its last bits at N = 6000, and chunks of one or two points
-    change most of its points at N = 4*10^4 to 10^6, where four change at
-    most 5 of 301."""
+    OpenBLAS's gemv takes rows four at a time and the rest on another path,
+    and splits large blocks between its threads.  Against chunks of 256
+    points, counts that are not powers of two change the field in its last
+    bits at N = 6000; at N = 4*10^4 to 10^6, on grids whose size is not a
+    multiple of four, chunks of one or two points changed almost every
+    point and chunks of four at most 5 of 301."""
     fit = max(4, GRID_BLOCK // (8 * n))
     return 1 << (fit.bit_length() - 1)
 
@@ -225,8 +226,8 @@ def grid_eval(alphas, kernels, cloud: PointCloud, grid_points):
 
     alphas and kernels are parallel lists; pass single-element lists for one
     kernel.  grid_points is (M, d).  The grid is evaluated in chunks of
-    ``grid_rows(N)`` points on a pool of threads sized like ``compress``'s,
-    each chunk summing its kernels in list order, so the field does not
+    ``grid_rows(N)`` points on a pool of threads sized by ``compress``'s
+    rule, beside the output, each chunk summing its kernels in list order, so the field does not
     depend on the number of threads.  The output and each worker's kernel
     blocks and coordinates must fit in memory, checked before any kernel
     entry is computed.
