@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 import scipy.sparse
@@ -15,7 +15,7 @@ import scipy.sparse
 from . import geometry
 # assemble_dense stays importable from here: perfbench's tracer rebinds it
 from .kernel import assemble_dense, cross_matrix  # noqa: F401
-from .samplet import SampletBasis
+from .samplet import DENSE, SampletBasis
 
 
 class OperatorError(ValueError):
@@ -91,7 +91,15 @@ class CompressedOperator:
         of at most GRAM_CHUNK entries, whose products are no larger.  Each
         entry is summed over K's rows in ascending order, as one sparse
         product sums it; the dense chunk's zeros add only zero terms, so
-        the block is bitwise that product's."""
+        the block is bitwise that product's.
+
+        A fetch of more than one chunk multiplies each chunk only over the
+        rows of K that its columns touch, a sorted index, which drops only
+        zero terms.  A random 84 % fetch at spss N = 4000, its columns
+        sorted as the Newton solvers fetch them, took 0.29-0.43 s this way
+        against 0.47-0.92 s over all of K's rows.  Finding the rows costs
+        about 0.2 ms a chunk, more than it saves on the few-column fetches
+        of ``ir_mrssn``, which take one chunk."""
         rows = self._column_indices(rows_idx)
         cols = self._column_indices(cols_idx)
         Kt = self._transpose()
@@ -101,7 +109,11 @@ class CompressedOperator:
             return At @ Kt[cols].T.toarray()
         G = np.empty((rows.size, cols.size))
         for lo in range(0, cols.size, step):
-            G[:, lo:lo + step] = At @ Kt[cols[lo:lo + step]].T.toarray()
+            B = Kt[cols[lo:lo + step]]
+            touched, local = np.unique(B.indices, return_inverse=True)
+            B = scipy.sparse.csr_matrix((B.data, local, B.indptr),
+                                        shape=(B.shape[0], touched.size))
+            G[:, lo:lo + step] = At[:, touched] @ B.T.toarray()
         return G
 
     def to_dense(self):
@@ -196,33 +208,27 @@ class CompressedOperator:
 
 
 PANEL = 512  # a cluster of at most PANEL points is not split further
-# per worker, the kernel block of a pair of clusters of at most PANEL points
-# and its two transforms: PANEL_COPIES float64 PANEL x PANEL blocks
-# (tracemalloc: 3.3 to 3.5 with one or two workers at N = 2048, where the
-# blocks are 512 x 512)
+# the kernel block of a pair of clusters of at most PANEL points and its two
+# transforms: PANEL_COPIES float64 PANEL x PANEL blocks (tracemalloc peak of
+# compress less its dense subtree transforms, in blocks of 512 x 512: 2.4,
+# 2.4 and 3.6 at tau = inf, where only the diagonal is kept, for spss at
+# N = 2000, cartoon at N = 6000 and spss at N = 10^4; 0.9, 1.9 and 2.8 at
+# tau = 1e-4 less KEPT_BYTES per kept entry).  The dense transforms took
+# 250, 375 and 313 bytes per point there, within their 8 DENSE.
 PANEL_COPIES = 4
 # bytes per kept entry at the peak of _mirror: the parts' int32 rows and
 # columns and float64 values beside the mirrored triples (tracemalloc: 56.8
 # to 58.2 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
 KEPT_BYTES = 60
-BATCH = 4  # base pairs per worker handed to the pool at a time
-
-
-def _worker_bytes(n):
-    return 8 * PANEL_COPIES * min(PANEL, n) ** 2
-
-
-def panel_workers(n):
-    """Threads of ``compress`` at N = n, each with its blocks."""
-    return geometry.pool_workers(_worker_bytes(n))
 
 
 def compress_peak_bytes(n):
     """Estimated peak bytes of the working buffers of ``compress`` at
-    N = n: PANEL_COPIES blocks per worker.  The scaling rows that travel
-    up, a few times 8 m_q bytes per point, are left out; each kept entry
-    adds KEPT_BYTES."""
-    return panel_workers(n) * _worker_bytes(n)
+    N = n: PANEL_COPIES blocks and the dense subtree transforms, at most
+    8 DENSE bytes per point.  The scaling rows that travel up, a few times
+    8 m_q bytes per point, are left out; each kept entry adds
+    KEPT_BYTES."""
+    return 8 * (PANEL_COPIES * min(PANEL, n) ** 2 + min(DENSE, n) * n)
 
 
 def compress(basis: SampletBasis, spec, cloud, tau):
@@ -250,14 +256,15 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     too.  The kept entries are mirrored, so the operator is exactly
     symmetric.
 
-    The base pairs of each pair of siblings run on a pool of
-    ``panel_workers(n)`` threads (numpy, BLAS and cdist release the
-    interpreter lock), BATCH per worker at a time, while the calling thread
-    combines their results in a fixed order; so the operator and its error
-    estimate do not depend on the number of workers.
+    The build runs in the calling thread.  A pool of threads made it
+    slower from N = 6000 up (README): the transforms' per-block Python work
+    holds the interpreter lock.  Each subtree of at most DENSE points is
+    transformed as one product with its dense transform, formed once per
+    call (``SampletBasis.transform_subtree``).
 
     ``require_memory`` checks the estimated peak before any kernel entry is
-    computed: ``compress_peak_bytes``, the blocks of every worker.  Then,
+    computed: ``compress_peak_bytes``, the blocks and the dense subtree
+    transforms.  Then,
     as entries are kept, it checks that plus KEPT_BYTES per entry kept so
     far, which covers the kept entries until they are mirrored into the
     result: a build that keeps too much is refused while it runs."""
@@ -267,11 +274,9 @@ def compress(basis: SampletBasis, spec, cloud, tau):
     n = cloud.n
     buffers = compress_peak_bytes(n)
     geometry.require_memory(buffers, f"compression at N = {n}")
-    workers = panel_workers(n)
-    with ThreadPoolExecutor(workers) as pool:
-        build = _Build(basis, spec, cloud.points[basis.tree.permutation], tau,
-                       pool.map, BATCH * workers, buffers)
-        build.node(basis.root_block, root=True)
+    build = _Build(basis, spec, cloud.points[basis.tree.permutation], tau,
+                   buffers)
+    build.node(basis.root_block, root=True)
     # sums and kept entries in a fixed order; _mirror frees the entries
     total_sq = sum(part[0] for part in build.parts)
     dropped_sq = sum(part[1] for part in build.parts)
@@ -315,14 +320,14 @@ def _base_pairs(a, b):
 
 class _Build:
     """State of one ``compress`` call: its inputs, with the points in tree
-    order, the thread pool's ``map`` and the number of base pairs handed to
-    it at a time, the bytes of the working buffers, and the thresholded
-    parts of C, in the order they are made, with their count of kept
-    entries."""
+    order, the bytes of the working buffers, the dense subtree transforms,
+    and the thresholded parts of C, in the order they are made, with their
+    count of kept entries."""
 
-    def __init__(self, basis, spec, points, tau, pool_map, batch, buffers):
+    def __init__(self, basis, spec, points, tau, buffers):
         self.basis, self.spec, self.points, self.tau = basis, spec, points, tau
-        self.map, self.batch, self.buffers = pool_map, batch, buffers
+        self.buffers = buffers
+        self.dense = {}  # id(block) -> its subtree's dense transform
         self.parts = []
         self.kept = 0
         self.what = f"compression at N = {len(points)} with tau = {tau:g}"
@@ -341,10 +346,7 @@ class _Build:
         local order."""
         basis = self.basis
         if blk.node.size <= PANEL or not blk.children:
-            pts = self.points[blk.node.lo : blk.node.hi]
-            C = basis.transform_subtree(  # all of C_blk
-                blk, basis.transform_subtree(
-                    blk, cross_matrix(self.spec, pts, pts)).T)
+            C = self._two_sided(blk, blk)  # all of C_blk, as K is symmetric
         else:
             C = self._split(blk, self.node(blk.children[0]),
                             self.node(blk.children[1]))
@@ -378,16 +380,8 @@ class _Build:
         """Scaling rows D[:m_a, :] and scaling columns D[:, :m_b] of
         D = T_a K_ab T_b^T, for clusters a and b with no point in common,
         in a's and b's local order; thresholds the entries of D between
-        samplets of a and samplets of b.  The base pairs run on the pool,
-        a batch at a time, while their results are combined in order."""
-        bases = list(_base_pairs(a, b))
-
-        def results():
-            for lo in range(0, len(bases), self.batch):
-                yield from self.map(self._base,
-                                    *zip(*bases[lo:lo + self.batch]))
-
-        return self._combine(a, b, results())
+        samplets of a and samplets of b."""
+        return self._combine(a, b, starmap(self._base, _base_pairs(a, b)))
 
     def _combine(self, a, b, results):
         """``pair`` from the results of its base pairs, in order.
@@ -416,14 +410,19 @@ class _Build:
     def _base(self, a, b):
         """``pair`` from the kernel block of a and b, transformed on both
         sides at once; the thresholded part is returned, not kept."""
-        basis = self.basis
-        K = cross_matrix(self.spec, self.points[a.node.lo : a.node.hi],
-                         self.points[b.node.lo : b.node.hi])
-        Dt = basis.transform_subtree(b, basis.transform_subtree(a, K).T)
+        Dt = self._two_sided(a, b)
         ma, mb = a.m_scal, b.m_scal
         part = _threshold(Dt[mb:, ma:], b.glob, a.glob, self.tau)
         # copies, so that the block is freed
         return Dt[:, :ma].T.copy(), Dt[:mb].T.copy(), part
+
+    def _two_sided(self, a, b):
+        """(T_a K_ab T_b^T)^T, in b's and a's local order, from the kernel
+        block of a and b, which is freed once transformed on a's side."""
+        ts, pts = self.basis.transform_subtree, self.points
+        TK = ts(a, cross_matrix(self.spec, pts[a.node.lo : a.node.hi],
+                                pts[b.node.lo : b.node.hi]), self.dense)
+        return ts(b, TK.T, self.dense)
 
 
 def _check_threshold(tau):

@@ -23,6 +23,14 @@ class SampletError(ValueError):
     pass
 
 
+# transform_subtree applies a subtree of at most DENSE points as one dense
+# product.  compress with DENSE = 16 / 24 / 48 / 96 (medians of alternating
+# runs in one process, OPENBLAS_NUM_THREADS=2, 2 cores): cartoon N = 6000
+# 0.427 / 0.380 / 0.374 / 0.405 s, spss N = 10^4 0.942 / 1.009 / 0.909 /
+# 1.094 s
+DENSE = 48
+
+
 def multi_indices(dim, q):
     """All multi-indices with |alpha| <= q in graded lexicographic order."""
     out = []
@@ -147,33 +155,47 @@ class SampletBasis:
         out[: self.n_root_scaling] = buf[: self.n_root_scaling]
         return out.reshape(v.shape)
 
-    def transform_subtree(self, blk, x):
+    def transform_subtree(self, blk, x, dense):
         """Apply the samplet transform of blk's subtree to x, whose rows are
         the points of blk's node in tree order.  The result's rows are in
         the subtree's local order: blk.m_scal scaling rows, the node's own
         samplets, then the samplets of its children's subtrees, depth first;
         row blk.m_scal + j is global output blk.glob[j].
 
-        It recurses a block at a time, where forward makes one stacked
-        product per level group: compress applies it to blocks of at most
-        PANEL points with hundreds of columns, for which gathering every
-        block's rows measured slower on 2 cores (spss N = 500 compress
-        11-15 ms recursive against 20 ms stacked, though cartoon N = 6000
-        took 0.68 s against 0.65 s)."""
+        A subtree of at most DENSE points is one product with its whole
+        transform in local order, which the dict ``dense`` holds by
+        id(block) and which is formed on first use by the recursion below
+        (``dense`` None: recurse to the leaves); its samplets are one run
+        of the local order, so the product writes one slice.  A larger
+        subtree recurses a block at a time, mixing its children's scaling
+        rows with Q.  ``compress`` passes one dict per call: at most
+        8 DENSE bytes per point of the subtrees it transforms.  The 136
+        two-sided transforms of cartoon N = 6000 took 0.141 s this way,
+        against 0.194 s recursing to the leaves (one thread, medians)."""
         out = np.empty(x.shape)
         out[: blk.m_scal] = self._fwd(blk, x, out, blk.node.lo,
-                                      blk.m_scal - blk.pre)
+                                      blk.m_scal - blk.pre, dense)
         return out
 
-    def _fwd(self, blk, x, out, lo, shift):
-        if not blk.children:
-            y = blk.Q.T @ x[blk.node.lo - lo : blk.node.hi - lo]
+    def _fwd(self, blk, x, out, lo, shift, dense):
+        rows = x[blk.node.lo - lo : blk.node.hi - lo]
+        if dense is not None and blk.node.size <= DENSE:
+            T = dense.get(id(blk))
+            if T is None:
+                T = dense[id(blk)] = self.transform_subtree(
+                    blk, np.eye(blk.node.size), None)
+            y = T @ rows
+            count = blk.node.size - blk.m_scal  # the subtree's samplets
         else:
-            parts = [self._fwd(c, x, out, lo, shift) for c in blk.children]
-            y = blk.Q.T @ np.concatenate(parts, axis=0)
-        if blk.n_samplets:
+            if blk.children:
+                rows = np.concatenate(
+                    [self._fwd(c, x, out, lo, shift, dense)
+                     for c in blk.children], axis=0)
+            y = blk.Q.T @ rows
+            count = blk.n_samplets
+        if count:
             at = shift + blk.pre
-            out[at : at + blk.n_samplets] = y[blk.m_scal :]
+            out[at : at + count] = y[blk.m_scal :]
         return y[: blk.m_scal]
 
     def inverse(self, w):

@@ -16,9 +16,8 @@ from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
                        build_cluster_tree, build_samplet_basis, compress,
                        estimate_lipschitz, fista, ir_mrssn)
 from sampletbp.kernel import cross_matrix
-from sampletbp.operator import (KEPT_BYTES, PANEL, PANEL_COPIES,
-                                OperatorError, _mirror, compress_peak_bytes,
-                                panel_workers)
+from sampletbp.operator import (KEPT_BYTES, PANEL, OperatorError, _mirror,
+                                compress_peak_bytes)
 
 
 MATERN = KernelSpec("matern32", length=0.25)
@@ -111,14 +110,11 @@ class TestCompress:
         op = compress(basis, MATERN, cloud, tau=1e-1)
         assert np.all(op.matrix.diagonal() != 0.0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [256, 2 * PANEL + 37])
-    def test_exactly_symmetric(self, rng, monkeypatch, n, workers):
+    def test_exactly_symmetric(self, rng, n):
         # the CSR arrays are those of the CSC, so the matrix is its own
         # transpose: one leaf pass, and pairs of clusters split by the
-        # recursion, run on one or two workers
-        monkeypatch.setattr("sampletbp.operator.panel_workers",
-                            lambda n: workers)
+        # recursion
         cloud, basis = make_setup(rng, n)
         op = compress(basis, MATERN, cloud, tau=1e-4)
         csc = op.matrix.tocsc()
@@ -159,14 +155,14 @@ class TestCompress:
         check_against_dense_oracle(*make_setup(rng, n, q=q,
                                                leaf_capacity=leaf_capacity))
 
-    def test_peak_memory_below_dense(self, rng, monkeypatch):
+    def test_peak_memory_below_dense(self, rng):
         # the largest buffers are the kernel blocks of at most PANEL x PANEL
         # points and their transforms, not N x N, and the peak is within
-        # the estimate: the blocks plus KEPT_BYTES per kept entry; q = 3 as
+        # the estimate: the blocks and the dense subtree transforms plus
+        # KEPT_BYTES per kept entry; q = 3 as
         # in the benchmarks, where the kept entries are 14 % of N^2
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n, q=3)
-        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 1)
         ops = []
         peak = traced_peak(lambda: ops.append(
             compress(basis, MATERN, cloud, tau=1e-4)))
@@ -174,93 +170,49 @@ class TestCompress:
         assert peak < 8 * n * n
         assert peak <= compress_peak_bytes(n) + KEPT_BYTES * kept
 
-    def test_peak_memory_below_root_block(self, rng, monkeypatch):
+    def test_peak_memory_below_root_block(self, rng):
         # the N/2 x N/2 block between the root's children alone takes 2 N^2
         # bytes; the build holds blocks of pairs of smaller clusters
         n = 8 * PANEL
         cloud, basis = make_setup(rng, n, q=3)
-        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 1)
         peak = traced_peak(lambda: compress(basis, MATERN, cloud, tau=1e-4))
         assert peak < 2 * n * n
 
-    def test_parallel_matches_serial(self, rng, monkeypatch):
-        # several base pairs: the operator does not depend on the worker
-        # count
+    def test_nonfinite_kernel_entry_refused(self, rng, monkeypatch):
+        # a NaN kernel entry in one base pair below the root's children, the
+        # first child of the left and the second child of the right, reaches
+        # the samplet entries of that pair, whose threshold refuses it;
+        # points in tree order
         n = 2 * PANEL + 37
         cloud, basis = make_setup(rng, n)
-        ops = []
-        for workers in (1, 3):
-            monkeypatch.setattr("sampletbp.operator.panel_workers",
-                                lambda n, workers=workers: workers)
-            ops.append(compress(basis, MATERN, cloud, tau=1e-4))
-        serial, parallel = ops
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(serial.matrix, part),
-                                  getattr(parallel.matrix, part))
-        assert serial.est_rel_frobenius_error == \
-            parallel.est_rel_frobenius_error
-
-    def test_worker_failure_propagates(self, rng, monkeypatch):
-        n = 2 * PANEL + 37
-        cloud, basis = make_setup(rng, n)
-        # the kernel block of one base pair below the root's children, the
-        # first child of the left and the second child of the right, which
-        # runs on the pool beside its sibling pair; points in tree order
         left, right = basis.tree.root.children
         pts = cloud.points[basis.tree.permutation]
         block = [pts[c.lo:c.hi] for c in (left.children[0],
                                           right.children[1])]
 
-        def is_block(xs, ys):
-            return any(np.array_equal(xs, p) and np.array_equal(ys, q)
-                       for p, q in (block, block[::-1]))
-
-        def failing(spec, xs, ys):
-            if is_block(xs, ys):
-                raise RuntimeError("base pair failed")
-            return cross_matrix(spec, xs, ys)
-
         def poisoned(spec, xs, ys):
             K = cross_matrix(spec, xs, ys)
-            if is_block(xs, ys):
+            if any(np.array_equal(xs, p) and np.array_equal(ys, q)
+                   for p, q in (block, block[::-1])):
                 K[3, 5] = np.nan
             return K
 
-        monkeypatch.setattr("sampletbp.operator.panel_workers", lambda n: 3)
-        threads = threading.active_count()
-        monkeypatch.setattr("sampletbp.operator.cross_matrix", failing)
-        with pytest.raises(RuntimeError, match="base pair failed"):
-            compress(basis, MATERN, cloud, tau=1e-4)
-        assert threading.active_count() == threads
-        # a NaN kernel entry reaches the samplet entries of its base pair,
-        # whose threshold refuses it
         monkeypatch.setattr("sampletbp.operator.cross_matrix", poisoned)
         with pytest.raises(OperatorError, match="non-finite"):
             compress(basis, MATERN, cloud, tau=1e-4)
-        assert threading.active_count() == threads
 
-    def test_worker_count(self, monkeypatch):
-        n = 8 * PANEL
-        memory = "sampletbp.geometry.physical_memory"
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr(memory, lambda: 2**40)
-        assert panel_workers(n) == 8  # one per core
-        per_worker = 8 * PANEL_COPIES * PANEL * PANEL
-        monkeypatch.setattr(memory, lambda: 2 * per_worker + 1)
-        assert panel_workers(n) == 2  # as many as memory holds
-        assert compress_peak_bytes(n) == 2 * per_worker
-        # the blocks of PANEL / 2 points take a quarter as much memory
-        assert panel_workers(PANEL // 2) == 8
-        monkeypatch.setattr(memory, lambda: 1)
-        assert panel_workers(n) == 1
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(memory, lambda: 2**40)
-        assert panel_workers(n) == 1
+    def test_compress_starts_no_thread(self, rng, monkeypatch):
+        # several base pairs, all built in the calling thread
+        def start(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        n = 2 * PANEL + 37
+        cloud, basis = make_setup(rng, n)
+        assert compress(basis, MATERN, cloud, tau=1e-4).shape == (n, n)
 
     def test_memory_budget(self, rng, monkeypatch):
-        # the estimate is checked before any kernel entry is computed; with
-        # one core, as a smaller machine first drops workers
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        # the estimate is checked before any kernel entry is computed
         cloud, basis = make_setup(rng, 32)
         need = compress_peak_bytes(32)
         memory = "sampletbp.geometry.physical_memory"
@@ -440,7 +392,9 @@ class TestGram:
                                    n_cols, chunk):
         # a symmetric compressed operator and an N x 2N stack, which is not
         # symmetric and can be fetched with more rows than it has; chunks of
-        # 1 and 7 of the 25 or 30 columns, and all of them at once
+        # 1 and 7 of the 25 or 30 columns, and all of them at once; each
+        # chunk multiplies only over the rows of K its columns touch, which
+        # is bitwise the product over all of K's rows
         cloud, basis = make_setup(rng, 300)
         op = compress(basis, MATERN, cloud, tau=1e-4)
         if kind == "hstack":
@@ -450,12 +404,15 @@ class TestGram:
         rows = rng.choice(op.n_cols, n_rows, replace=False)
         cols = rng.choice(op.n_cols, n_cols, replace=False)
         whole = (op.matrix[:, rows].T @ op.matrix[:, cols]).toarray()
+        Kt = op._transpose()
+        every_row = Kt[rows] @ Kt[cols].T.toarray()
         if chunk is not None:
             monkeypatch.setattr("sampletbp.operator.GRAM_CHUNK",
                                 chunk * max(op.n_rows, n_rows))
         G = op.gram_submatrix(rows, cols)
         assert G.shape == (n_rows, n_cols)
         assert np.array_equal(G, whole)
+        assert np.array_equal(G, every_row)
 
 
 class TestLipschitz:

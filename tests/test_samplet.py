@@ -6,7 +6,7 @@ import pytest
 
 from sampletbp import (PointCloud, build_cluster_tree, build_samplet_basis,
                        coefficient_l1_profile)
-from sampletbp.samplet import moment_matrix, multi_indices
+from sampletbp.samplet import DENSE, moment_matrix, multi_indices
 
 
 def make_basis(points, q, leaf_capacity=None):
@@ -156,19 +156,33 @@ class TestTransforms:
         w = basis.forward(v)
         assert np.abs(basis.inverse(w) - v).max() <= 1e-12
 
-    def test_subtree_transform_rows_are_global_rows(self, rng):
+    @pytest.mark.parametrize("d,q,n,leaf", TRANSFORM_CASES + [
+        (2, 1, 200, 20),  # leaves of 50 points, above DENSE: Q at a leaf
+        (2, 2, 96, 2),  # children of exactly DENSE points
+        (2, 2, 300, 2)])
+    def test_subtree_transform_rows_are_global_rows(self, rng, d, q, n, leaf):
         # below its scaling rows, a subtree's local order lists global
-        # samplets, which live on the subtree's points only
-        _, basis = make_basis(rng.uniform(-1, 1, (300, 2)), 2)
+        # samplets, which live on the subtree's points only; every subtree,
+        # parents first and then children first, through one cache of dense
+        # subtree transforms, which each small subtree fills or reads
+        m_q = comb(q + d, d)
+        _, basis = make_basis(rng.uniform(-1, 1, (n, d)), q,
+                              leaf_capacity=leaf * m_q)
         T = basis.to_dense()
         perm = basis.tree.permutation
-        root = basis.root_block
-        for blk in (root, root.children[1], root.children[0].children[1]):
+        dense = {}
+        for blk in basis.blocks_bfs + basis.blocks_bfs[::-1]:
             lo, hi = blk.node.lo, blk.node.hi
             x = rng.standard_normal((hi - lo, 3))
-            y = basis.transform_subtree(blk, x)
+            y = basis.transform_subtree(blk, x, dense)
             ref = T[np.ix_(blk.glob, perm[lo:hi])] @ x
-            assert np.abs(y[blk.m_scal:] - ref).max() <= 1e-12
+            assert np.abs(y[blk.m_scal:] - ref).max(initial=0) <= 1e-12
+        assert set(dense) == {id(b) for b in basis.blocks_bfs
+                              if b.node.size <= DENSE}
+        root = basis.root_block
+        x = rng.standard_normal((n, 2))
+        y = basis.transform_subtree(root, x, dense)
+        assert np.abs(y - T[basis.local_order][:, perm] @ x).max() <= 1e-12
         assert np.array_equal(root.glob, basis.local_order[root.m_scal:])
 
     def test_length_mismatch(self, rng):
