@@ -161,29 +161,54 @@ def build_cluster_tree(cloud: PointCloud, leaf_capacity: int) -> ClusterTree:
 
     Each split puts the lower ceil(n/2) points (by coordinate along the split
     axis, stable order) into the left child.  Deterministic for fixed input.
+
+    Built a level at a time: the bounding boxes of a level's nodes come
+    from one ``reduceat`` per bound over their runs of points, and the
+    nodes that split are sorted together, by node and then coordinate, in
+    one stable ``lexsort``.
     """
     if leaf_capacity < 1:
         raise GeometryError("leaf_capacity must be positive")
     if cloud.n < 1:
         raise GeometryError("empty point set")
     pts = cloud.points
-    perm = np.arange(cloud.n, dtype=np.int64)
-
-    def build(lo, hi, level):
-        idx = perm[lo:hi]
-        bbox = bounding_box(pts[idx])
-        node = ClusterNode(lo=lo, hi=hi, level=level, bbox=bbox)
-        n = hi - lo
-        if n <= leaf_capacity:
-            return node, level
-        axis = int(np.argmax(bbox[1] - bbox[0]))  # ties -> lowest axis
-        order = np.argsort(pts[idx, axis], kind="stable")
-        perm[lo:hi] = idx[order]
-        mid = lo + (n + 1) // 2
-        left, dl = build(lo, mid, level + 1)
-        right, dr = build(mid, hi, level + 1)
-        node.children = (left, right)
-        return node, max(dl, dr)
-
-    root, depth = build(0, cloud.n, 0)
-    return ClusterTree(root=root, permutation=perm, depth=depth)
+    n = cloud.n
+    perm = np.arange(n, dtype=np.int64)
+    root = ClusterNode(lo=0, hi=n, level=0, bbox=None)
+    nodes, depth = [root], 0
+    while True:
+        lo = np.array([node.lo for node in nodes])
+        hi = np.array([node.hi for node in nodes])
+        # runs [lo, hi) of the nodes and the gaps between them, which hold
+        # leaves of coarser levels; the last run ends at n by itself
+        edges = np.stack([lo, hi], axis=1).ravel()
+        if hi[-1] == n:
+            edges = edges[:-1]
+        at = pts[perm]
+        bbox = np.stack([np.minimum.reduceat(at, edges)[::2],
+                         np.maximum.reduceat(at, edges)[::2]], axis=1)
+        for node, box in zip(nodes, bbox):
+            node.bbox = box
+        split = np.flatnonzero(hi - lo > leaf_capacity)
+        if not split.size:
+            return ClusterTree(root=root, permutation=perm, depth=depth)
+        # ties -> lowest axis
+        axis = np.argmax(bbox[split, 1] - bbox[split, 0], axis=1)
+        # the positions of the splitting nodes' points, and their nodes
+        size = (hi - lo)[split]
+        owner = np.repeat(np.arange(split.size), size)
+        pos = np.arange(owner.size) + np.repeat(lo[split] - np.cumsum(size)
+                                                + size, size)
+        order = np.lexsort((at[pos, axis[owner]], owner))
+        perm[pos] = perm[pos[order]]
+        depth += 1
+        mid = lo[split] + (size + 1) // 2
+        children = []
+        for i, m in zip(split, mid):
+            node = nodes[i]
+            node.children = (ClusterNode(lo=node.lo, hi=int(m), level=depth,
+                                         bbox=None),
+                             ClusterNode(lo=int(m), hi=node.hi, level=depth,
+                                         bbox=None))
+            children.extend(node.children)
+        nodes = children

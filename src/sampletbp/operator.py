@@ -4,8 +4,6 @@ multi-kernel stacking, Lipschitz estimates."""
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 from itertools import starmap
 
@@ -22,8 +20,6 @@ class OperatorError(ValueError):
     pass
 
 
-_MAGIC = b"SMPK1"
-_HEADER = struct.Struct("<QQQdd")  # n_rows, n_cols, nnz, threshold, error
 # entries of the dense chunk of selected columns that a Gram block fetch
 # multiplies at a time, and of the chunk's product: 16 GRAM_CHUNK bytes
 GRAM_CHUNK = 1 << 19
@@ -119,53 +115,6 @@ class CompressedOperator:
     def to_dense(self):
         return self.matrix.toarray()
 
-    # -- serialization -----------------------------------------------------
-
-    def save(self, path):
-        """Binary layout: magic 'SMPK1', then little-endian u64 n_rows,
-        n_cols, nnz, f64 threshold, f64 est_rel_frobenius_error, u64 row
-        offsets (n_rows + 1), u64 column indices (nnz), f64 values (nnz)."""
-        m = self.matrix
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(_HEADER.pack(m.shape[0], m.shape[1], m.nnz,
-                                  self.threshold, self.est_rel_frobenius_error))
-            fh.write(m.indptr.astype("<u8").tobytes())
-            fh.write(m.indices.astype("<u8").tobytes())
-            fh.write(m.data.astype("<f8").tobytes())
-
-    @staticmethod
-    def load(path):
-        with open(path, "rb") as fh:
-            if fh.read(5) != _MAGIC:
-                raise OperatorError("bad magic bytes in operator file")
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                raise OperatorError("truncated operator file header")
-            n_rows, n_cols, nnz, tau, est = _HEADER.unpack(header)
-            # check the sizes against the file before allocating anything
-            expected = len(_MAGIC) + _HEADER.size + 8 * (n_rows + 1 + 2 * nnz)
-            actual = os.fstat(fh.fileno()).st_size
-            if actual != expected:
-                raise OperatorError(
-                    f"operator file has {actual} bytes; its header "
-                    f"({n_rows} rows, {nnz} nonzeros) implies {expected}")
-            indptr = np.frombuffer(fh.read(8 * (n_rows + 1)), dtype="<u8")
-            indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8")
-            data = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
-        if not np.all(np.isfinite(data)):
-            raise OperatorError("non-finite matrix entries in operator file")
-        mat = scipy.sparse.csr_matrix(
-            (data.copy(), indices.astype(np.int64), indptr.astype(np.int64)),
-            shape=(n_rows, n_cols))
-        try:
-            # an out-of-range index would crash the matvecs later
-            mat.check_format(full_check=True)
-        except ValueError as exc:
-            raise OperatorError(f"corrupt operator file: {exc}") from exc
-        return CompressedOperator(matrix=mat, threshold=tau,
-                                  est_rel_frobenius_error=est)
-
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -210,16 +159,18 @@ class CompressedOperator:
 PANEL = 512  # a cluster of at most PANEL points is not split further
 # the kernel block of a pair of clusters of at most PANEL points and its two
 # transforms: PANEL_COPIES float64 PANEL x PANEL blocks (tracemalloc peak of
-# compress less its dense subtree transforms, in blocks of 512 x 512: 2.4,
-# 2.4 and 3.6 at tau = inf, where only the diagonal is kept, for spss at
-# N = 2000, cartoon at N = 6000 and spss at N = 10^4; 0.9, 1.9 and 2.8 at
-# tau = 1e-4 less KEPT_BYTES per kept entry).  The dense transforms took
+# compress before _mirror less its dense subtree transforms and the kept
+# parts, in blocks of 512 x 512: 2.4, 2.3 and 3.5 at tau = inf, where only
+# the diagonal is kept, for spss at N = 2000, cartoon at N = 6000 and spss
+# at N = 10^4; 2.2, 2.0 and 3.2 at tau = 1e-4).  The dense transforms took
 # 250, 375 and 313 bytes per point there, within their 8 DENSE.
 PANEL_COPIES = 4
-# bytes per kept entry at the peak of _mirror: the parts' int32 rows and
-# columns and float64 values beside the mirrored triples (tracemalloc: 56.8
-# to 58.2 for cartoon at N = 6000 and spss at N = 2000 and 10^4)
-KEPT_BYTES = 60
+# bytes per kept entry at the peak of _mirror: the parts' int32 flat
+# indices and float64 values beside the CSR's two mirrored copies, and the
+# temporaries of the part being scattered (tracemalloc peak of compress:
+# 37.2 to 41.5 for cartoon at N = 6000, spss at N = 2000 and 10^4, and at
+# tau = 0 for N = 1061 and 2000)
+KEPT_BYTES = 44
 
 
 def compress_peak_bytes(n):
@@ -336,7 +287,7 @@ class _Build:
         """Append a thresholded part of C; refuse the build once its kept
         entries would not fit beside the working buffers."""
         self.parts.append(part)
-        self.kept += part[4].size
+        self.kept += part[-1].size
         geometry.require_memory(self.buffers + KEPT_BYTES * self.kept,
                                 self.what)
 
@@ -431,6 +382,11 @@ def _check_threshold(tau):
         raise OperatorError(f"threshold tau must be nonnegative, not {tau}")
 
 
+def _check_finite(X):
+    if not np.all(np.isfinite(X)):
+        raise OperatorError("non-finite matrix entries")
+
+
 def _threshold(X, rows, cols, tau, diagonal=False):
     """Threshold the block X = C[rows][:, cols] of a symmetric matrix C and
     overwrite X.  The rows are none of the block's columns, or with
@@ -439,13 +395,14 @@ def _threshold(X, rows, cols, tau, diagonal=False):
 
     Keeps the entries with |C| >= tau and the diagonal.  Returns the total
     and the dropped squared mass of the block's share of C (off-diagonal
-    entries counted twice) and the rows, columns and values kept."""
-    if not np.all(np.isfinite(X)):
-        raise OperatorError("non-finite matrix entries")
+    entries counted twice) and the kept part: ``rows`` and ``cols``, the
+    kept entries' flat indices into X in row-major order, int32 where X
+    is small enough, and their values."""
     keep = X >= tau
     keep |= X <= -tau
     d = 0.0
     if diagonal:
+        _check_finite(X)  # before the entries above the diagonal go
         h = X.shape[0]
         upper = rows[:, None] < rows  # above C's diagonal
         X[:, :h][upper] = 0.0
@@ -455,27 +412,95 @@ def _threshold(X, rows, cols, tau, diagonal=False):
         d = X[diag]
         d = float(d @ d)
     total = 2.0 * float(np.einsum("ij,ij->", X, X)) - d
+    if not np.isfinite(total):  # a sum of squares of finite entries can
+        _check_finite(X)        # overflow, so look at them only then
     # flat indices in row-major order, as np.nonzero gives them, but faster
-    r, c = np.divmod(np.flatnonzero(keep), X.shape[1])
+    flat = np.flatnonzero(keep)
+    r, c = np.divmod(flat, X.shape[1])
     vals = X[r, c]
     # the dropped mass is summed directly: total minus kept would cancel
     X[r, c] = 0.0
     dropped = 2.0 * float(np.einsum("ij,ij->", X, X))
-    return total, dropped, rows[r], cols[c], vals
+    if X.size <= np.iinfo(np.int32).max:
+        flat = flat.astype(np.int32)
+    return total, dropped, rows, cols, flat, vals
 
 
 def _mirror(n, parts):
-    """Exactly symmetric canonical CSR matrix from kept entries (rows,
-    cols, vals), one of each mirrored pair and the diagonal, indexed in the
-    type scipy keeps, so that the conversion copies no index.  The list of
-    parts is emptied before the conversion."""
-    off = [rows != cols for rows, cols, _ in parts]
-    rows, cols, vals = (
-        np.concatenate([p[i] for p in parts]
-                       + [p[j][o] for p, o in zip(parts, off)])
-        for i, j in ((0, 1), (1, 0), (2, 2)))
-    parts.clear()
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    """Exactly symmetric canonical CSR matrix from kept parts (rows, cols,
+    flat, vals): the entries of C[rows][:, cols] at the flat row-major
+    indices ``flat``, one of each mirrored pair and, in a part whose rows
+    are its leading columns, the whole diagonal, as ``_threshold`` keeps
+    them.  Indexed in the type scipy picks for N and the entry count.
+
+    No triples are formed.  One pass counts every row's entries in both
+    orientations, then each part is scattered into the CSR arrays and
+    dropped: its rows in the row-major order they come in, its mirror
+    images grouped by local column by a stable sort, the diagonal left
+    out.  A row's columns then arrive in cluster order, so one in-place
+    sort makes the matrix canonical.  The list of parts is emptied."""
+    counts = np.zeros(n + 1, np.int64)
+    per_row = counts[1:]
+    for rows, cols, flat, _ in parts:
+        if flat.size:
+            w = cols.size
+            runs = _runs(flat, rows.size, w)
+            np.add.at(per_row, rows, runs[1:] - runs[:-1])
+            per_col = np.bincount(flat % w, minlength=w)
+            per_col[:_leading(rows, cols)] -= 1  # the diagonal stays
+            np.add.at(per_row, cols, per_col)
+    idx = scipy.sparse.get_index_dtype(maxval=max(n, int(counts.sum())))
+    indptr = np.cumsum(counts, dtype=idx)
+    del counts, per_row
+    indices = np.empty(int(indptr[-1]), idx)
+    data = np.empty(indices.size)
+    cursor = indptr[:-1].astype(np.int64)  # each row's next free slot
+    parts.reverse()
+    while parts:
+        rows, cols, flat, vals = parts.pop()
+        if not flat.size:
+            continue
+        w = cols.size
+        r = flat // w
+        c = flat - r * w
+        _scatter(cursor, indices, data, rows, _runs(flat, rows.size, w),
+                 np.take(cols, c), vals)
+        # mirror images by local column; the diagonal sorts last, past
+        # every column, and is cut off
+        key = c.astype(np.int16 if w < 2**15 else idx)
+        h = _leading(rows, cols)
+        if h:
+            key[r == c] = w
+        order = np.argsort(key, kind="stable")[:flat.size - h]
+        _scatter(cursor, indices, data, cols, _runs(key[order], w, 1),
+                 np.take(rows, np.take(r, order)), np.take(vals, order))
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.sort_indices()
+    return matrix
+
+
+def _runs(flat, h, w):
+    """Where each of h rows of width w starts in sorted flat row-major
+    indices, and where the last ends."""
+    return np.searchsorted(flat, np.arange(0, (h + 1) * w, w))
+
+
+def _leading(rows, cols):
+    """How many of a part's leading columns are its rows: all of them or
+    none, by ``_threshold``'s contract."""
+    return rows.size if rows.size and cols.size and rows[0] == cols[0] else 0
+
+
+def _scatter(cursor, indices, data, targets, runs, at, vals):
+    """Write entries with columns ``at`` and values ``vals``, those of row
+    targets[i] at runs[i]:runs[i + 1], each row's at its cursor, in order,
+    and advance the cursors."""
+    per = runs[1:] - runs[:-1]
+    dest = np.repeat(np.take(cursor, targets) - runs[:-1], per)
+    dest += np.arange(at.size)
+    indices[dest] = at
+    data[dest] = vals
+    np.add.at(cursor, targets, per)
 
 
 # power iteration of estimate_lipschitz: relative stopping tolerance,

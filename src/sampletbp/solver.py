@@ -158,13 +158,17 @@ def _weights(w, n):
     return w
 
 
-def _objective(op, h, beta, w):
-    r = h - op.matvec(beta)
+def _objective(h, k_beta, beta, w):
+    r = h - k_beta
     return 0.5 * float(r @ r) + float(np.abs(beta) @ np.broadcast_to(w, beta.shape))
 
 
 def _finish(method, op, h, beta, w, iterations, residual_inf, t0, basis=None,
-            history=None, extras=None):
+            history=None, extras=None, k_beta=None):
+    """The report of a solve; ``k_beta`` is K beta where the solver has it,
+    else one product makes it."""
+    if k_beta is None:
+        k_beta = op.matvec(beta)
     if basis is not None:
         alpha = basis.inverse(beta)
     else:
@@ -173,7 +177,7 @@ def _finish(method, op, h, beta, w, iterations, residual_inf, t0, basis=None,
         method=method, beta=beta, alpha=alpha, iterations=iterations,
         final_active_size=int(np.count_nonzero(beta)),
         residual_inf=float(residual_inf),
-        objective=_objective(op, h, beta, np.asarray(w, dtype=float)),
+        objective=_objective(h, k_beta, beta, np.asarray(w, dtype=float)),
         wall_time=time.perf_counter() - t0,
         history=history or [], extras=extras or {})
 
@@ -249,7 +253,7 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
             return v
 
     x = np.zeros(n)
-    r = h - apply_A(x)
+    r = h.copy()  # the residual of the zero start, with no product
     z = scale(r)
     p = z.copy()
     rz = float(r @ z)
@@ -278,10 +282,11 @@ def ridge_cg(op, h_sigma, lam, tol=9e-7, diagonal_scaling=False, basis=None):
         iterations = k + 1
         history.append({"iter": iterations,
                         "rel_residual": float(np.linalg.norm(r) / nh)})
-    rel = float(np.linalg.norm(h - apply_A(x)) / nh)
+    kx = op.matvec(x)  # for the residual and the reported objective
+    rel = float(np.linalg.norm(h - (kx + lam * x)) / nh)
     return _finish("ridge_cg", op, h, x, 0.0, iterations, rel, t0, basis,
                    history=history, extras={"relative_residual": rel,
-                                            "lam": float(lam)})
+                                            "lam": float(lam)}, k_beta=kx)
 
 
 # -- FISTA ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the package's own code paths: lasso problems
 are solved by plain coordinate descent on dense matrices, linear systems by
 dense factorizations, field evaluations by naive double loops, and the
-two-sided samplet transform by products with the explicit matrix T.
+two-sided samplet transform by products with the explicit matrix T, and
+cluster trees by a plain recursion that sorts one node at a time.
 """
 
 import tracemalloc
@@ -34,6 +35,30 @@ def two_sided(basis, K):
     basis, not by its fast transform."""
     T = basis.to_sparse()
     return (T @ (T @ K).T).T
+
+
+def recursive_cluster_tree(points, leaf_capacity):
+    """The permutation, the depth and the nodes (lo, hi, level, bbox) in
+    depth-first order of the cardinality-balanced tree: each node of more
+    than leaf_capacity points sorts them stably along the longest edge of
+    its bounding box, the lowest such axis, and gives the first ceil(n/2)
+    to its left child."""
+    perm = np.arange(len(points))
+    nodes = []
+
+    def split(lo, hi, level):
+        pts = points[perm[lo:hi]]
+        box = np.array([pts.min(axis=0), pts.max(axis=0)])
+        nodes.append((lo, hi, level, box))
+        if hi - lo <= leaf_capacity:
+            return level
+        axis = int(np.argmax(box[1] - box[0]))
+        perm[lo:hi] = perm[lo:hi][np.argsort(pts[:, axis], kind="stable")]
+        mid = lo + (hi - lo + 1) // 2
+        return max(split(lo, mid, level + 1), split(mid, hi, level + 1))
+
+    depth = split(0, len(points), 0)
+    return perm, depth, nodes
 
 
 def cd_lasso(A, h, w, tol=1e-12, max_iter=200000):

@@ -1,12 +1,31 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from conftest import recursive_cluster_tree
 from sampletbp import PointCloud, bounding_box, build_cluster_tree
 from sampletbp.geometry import GeometryError
 
 
 def leaves(tree):
     return [n for n in tree.nodes_breadth_first() if n.is_leaf]
+
+
+def depth_first(node):
+    yield node
+    for child in node.children:
+        yield from depth_first(child)
+
+
+def cloud_points(rng, kind, n, d):
+    """Uniform points, points on a line through the cube, or points of the
+    lattice {0, 1, 2}^d, where points coincide and box edges tie."""
+    if kind == "uniform":
+        return rng.uniform(-0.5, 0.5, (n, d))
+    if kind == "collinear":
+        return np.outer(rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.0, d))
+    return rng.integers(0, 3, (n, d)).astype(float)
 
 
 class TestBoundingBox:
@@ -125,3 +144,21 @@ class TestBuildClusterTree:
     def test_empty_capacity_rejected(self):
         with pytest.raises(GeometryError):
             build_cluster_tree(PointCloud([[0.0]]), 0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "collinear", "duplicates"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_recursive_oracle(self, rng, kind, d):
+        # leaf capacities 1, m_q and 2 m_q for q = 3
+        m_q = comb(3 + d, d)
+        for n in (1, 2, 3, 7, 40, 333, 3000):
+            pts = cloud_points(rng, kind, n, d)
+            for capacity in (1, m_q, 2 * m_q):
+                tree = build_cluster_tree(PointCloud(pts), capacity)
+                perm, depth, nodes = recursive_cluster_tree(pts, capacity)
+                assert np.array_equal(tree.permutation, perm)
+                assert tree.depth == depth
+                got = list(depth_first(tree.root))
+                assert len(got) == len(nodes)
+                for node, (lo, hi, level, box) in zip(got, nodes):
+                    assert (node.lo, node.hi, node.level) == (lo, hi, level)
+                    assert np.array_equal(node.bbox, box)

@@ -1,14 +1,10 @@
-import os
-import struct
-import tempfile
 import threading
+from functools import partial
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import dense_op, random_spd, traced_peak, two_sided
 from sampletbp import (BudgetError, CompressedOperator, KernelSpec,
@@ -252,37 +248,71 @@ class TestCompress:
         assert compress(basis, MATERN, cloud, tau=1e-4).nnz == op.nnz
 
 
+def kept_part(rng, rows, cols, density, diagonal=False):
+    """A part of kept entries of C[rows][:, cols] as ``_threshold`` returns
+    it, drawn at random, some exactly zero: with ``diagonal`` the rows are
+    the leading columns, the diagonal is kept and nothing above C's
+    diagonal in the leading square."""
+    h = rows.size
+    keep = rng.random((h, cols.size)) < density
+    if diagonal:
+        keep[:, :h] &= rows[:, None] >= rows
+        keep[np.arange(h), np.arange(h)] = True
+    flat = np.flatnonzero(keep).astype(np.int32)
+    vals = rng.standard_normal(flat.size)
+    vals[::7] = 0.0
+    return rows.astype(np.int32), cols.astype(np.int32), flat, vals
+
+
+def mirror_parts(rng, case):
+    """N and parts whose entries are distinct pairs, one of each."""
+    n = 2**15 + 40 if case == "wide" else 40
+    p = rng.permutation(n)
+    a, b, c = p[:12], p[12:30], p[30:40]
+    part = partial(kept_part, rng)
+    none = np.array([], dtype=np.int32)
+    return n, {
+        # rows c shared by two parts; b's square with four of c's columns;
+        # empty parts, one without columns and one keeping nothing
+        "parts": lambda: [
+            part(a, a, 0.5, True), part(b, none, 0.5),
+            part(b, np.r_[b, c[:4]], 0.4, True), part(c, a[:6], 0.5),
+            part(c, a[6:], 0.5), part(c, c, 0.0, True), part(a, b, 0.0)],
+        "one-part": lambda: [part(p, p, 0.6, True)],
+        "diagonal-only": lambda: [part(a, a, 0.0, True), part(b, a, 0.5)],
+        # 2^15 + 40 columns, past the int16 sort keys, with and without a
+        # diagonal
+        "wide": lambda: [part(p[:3], p, 0.002, True),
+                         part(p[3:5], p[5:], 0.002)],
+        "empty": lambda: [part(a, b, 0.0), part(none, a, 0.5),
+                          part(c, none, 0.5)],
+    }[case]()
+
+
 class TestMirror:
-    @pytest.mark.parametrize("cuts", [
-        (0, 0, 70, 70, 200, 340),  # empty parts, rows shared across parts
-        (0, 340),  # one part
-        (0, 300, 340),  # a part of the diagonal alone
-    ], ids=["parts", "one-part", "diagonal-only"])
-    def test_matches_coo_conversion(self, rng, cuts):
-        # distinct off-diagonal pairs, one of each, either way round, some
-        # exactly zero, then the diagonal, split into int32 parts; the
-        # oracle converts the entries and their off-diagonal mirror images
-        # as COO triples
-        n, k = 40, 300
-        upper = np.triu_indices(n, 1)
-        pick = rng.choice(upper[0].size, size=k, replace=False)
-        flip = rng.random(k) < 0.5
-        d = np.arange(n)
-        rows = np.r_[np.where(flip, upper[1][pick], upper[0][pick]), d]
-        cols = np.r_[np.where(flip, upper[0][pick], upper[1][pick]), d]
-        vals = rng.standard_normal(k + n)
-        vals[::50] = 0.0
-        parts = [(rows[lo:hi].astype(np.int32), cols[lo:hi].astype(np.int32),
-                  vals[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    @pytest.mark.parametrize("case", ["parts", "one-part", "diagonal-only",
+                                      "wide", "empty"])
+    def test_matches_coo_conversion(self, rng, case):
+        # the oracle converts the parts' entries and their off-diagonal
+        # mirror images as COO triples
+        n, parts = mirror_parts(rng, case)
+        kept = [(r[f // c.size], c[f % c.size], v)
+                for r, c, f, v in parts if f.size]
+        rows, cols, vals = (np.concatenate([np.empty(0, t)]
+                                           + [e[i] for e in kept])
+                            for i, t in enumerate((np.int32, np.int32, float)))
+        off = rows != cols
         oracle = scipy.sparse.csr_matrix(
-            (np.r_[vals, vals[:k]], (np.r_[rows, cols[:k]],
-                                     np.r_[cols, rows[:k]])), shape=(n, n))
+            (np.r_[vals, vals[off]], (np.r_[rows, cols[off]],
+                                      np.r_[cols, rows[off]])),
+            shape=(n, n))
         matrix = _mirror(n, parts)
         assert parts == []
         for part in ("indptr", "indices", "data"):
             got, want = getattr(matrix, part), getattr(oracle, part)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        assert matrix.indices.dtype == scipy.sparse.get_index_dtype(maxval=n)
         assert matrix.has_canonical_format
 
 
@@ -487,93 +517,3 @@ class TestHstack:
         assert blk.threshold == max(op.threshold for op in ops)
         assert blk.est_rel_frobenius_error == \
             max(op.est_rel_frobenius_error for op in ops)
-
-
-class TestSerialization:
-    def test_save_load_round_trip(self, rng, tmp_path):
-        A = rng.standard_normal((15, 15))
-        op = CompressedOperator.from_dense(A, tau=0.5)
-        path = tmp_path / "op.smpk"
-        op.save(path)
-        back = CompressedOperator.load(path)
-        assert np.array_equal(back.to_dense(), op.to_dense())
-        assert back.threshold == op.threshold
-        assert back.est_rel_frobenius_error == op.est_rel_frobenius_error
-
-    @settings(max_examples=40, deadline=None)
-    @given(n_rows=st.integers(1, 20), blocks=st.lists(
-        st.tuples(st.integers(1, 20), st.floats(0.0, 1.0),
-                  st.floats(0.0, 2.0), st.integers(0, 2**32 - 1)),
-        min_size=1, max_size=3))
-    def test_save_load_round_trip_property(self, n_rows, blocks):
-        # n_rows x n_cols blocks of random density and tau; more than one
-        # block gives a non-square stack
-        ops = []
-        for n_cols, density, tau, seed in blocks:
-            rng = np.random.default_rng(seed)
-            A = scipy.sparse.random(n_rows, n_cols, density=density,
-                                    random_state=rng,
-                                    data_rvs=rng.standard_normal)
-            ops.append(CompressedOperator.from_dense(A.toarray(), tau=tau))
-        op = ops[0] if len(ops) == 1 else CompressedOperator.hstack(ops)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "op.smpk")
-            op.save(path)
-            back = CompressedOperator.load(path)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(back.matrix, name),
-                                  getattr(op.matrix, name))
-        assert back.shape == op.shape
-        assert back.threshold == op.threshold
-        assert back.est_rel_frobenius_error == op.est_rel_frobenius_error
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.smpk"
-        path.write_bytes(b"NOPE!" + b"\0" * 64)
-        with pytest.raises(OperatorError):
-            CompressedOperator.load(path)
-
-    def test_truncated_file_rejected(self, rng, tmp_path):
-        path = tmp_path / "op.smpk"
-        CompressedOperator.from_dense(rng.standard_normal((4, 4)),
-                                      tau=0.5).save(path)
-        raw = path.read_bytes()
-        for length in range(len(raw)):
-            path.write_bytes(raw[:length])
-            with pytest.raises(OperatorError):
-                CompressedOperator.load(path)
-
-    def test_oversized_header_rejected(self, rng, tmp_path):
-        path = tmp_path / "op.smpk"
-        CompressedOperator.from_dense(rng.standard_normal((4, 4)),
-                                      tau=0.5).save(path)
-        raw = bytearray(path.read_bytes())
-        raw[5:13] = struct.pack("<Q", 2**40)  # n_rows
-        path.write_bytes(bytes(raw))
-        with pytest.raises(OperatorError, match="implies"):
-            CompressedOperator.load(path)
-
-    @pytest.mark.parametrize("where, value", [
-        (5 + 40 + 8, 7),  # indptr[1] past nnz
-        (5 + 40 + 8 * 5, 10**6),  # column index 0 out of range
-    ], ids=["row-offset", "column-index"])
-    def test_corrupt_arrays_rejected(self, tmp_path, where, value):
-        path = tmp_path / "op.smpk"
-        CompressedOperator.from_dense(np.eye(4), tau=0.5).save(path)
-        raw = bytearray(path.read_bytes())
-        raw[where:where + 8] = struct.pack("<Q", value)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(OperatorError, match="corrupt"):
-            CompressedOperator.load(path)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
-                             ids=["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected(self, tmp_path, value):
-        # a 6 x 6 operator whose last stored value is replaced in the file
-        path = tmp_path / "op.smpk"
-        CompressedOperator.from_dense(np.eye(6), tau=0.5).save(path)
-        raw = bytearray(path.read_bytes())
-        raw[-8:] = struct.pack("<d", value)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(OperatorError, match="non-finite"):
-            CompressedOperator.load(path)

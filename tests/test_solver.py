@@ -183,6 +183,27 @@ class TestRidgeCG:
         with pytest.raises(SolverError, match="lam must be"):
             ridge_cg(dense_op(np.eye(3)), np.ones(3), lam=lam)
 
+    @pytest.mark.parametrize("scaling", [False, True],
+                             ids=["plain", "block-scaled"])
+    def test_one_product_per_iteration_and_one_to_finish(self, rng, scaling):
+        # none for the zero start; one K x serves the reported residual and
+        # objective, which are those of the returned beta; the coarse block
+        # of the scaling is 320 of 600 coefficients
+        n = 600
+        cloud, basis, op = kernel_setup(rng, n)
+        h = basis.forward(rng.standard_normal(n))
+        lam = 2e-5 * n
+        counting = _CountingOp(op)
+        rep = ridge_cg(counting, h, lam, diagonal_scaling=scaling,
+                       basis=basis)
+        assert rep.iterations > 1
+        assert counting.products == rep.iterations + 1
+        kx = op.matvec(rep.beta)
+        r = h - kx
+        assert rep.objective == 0.5 * float(r @ r)
+        assert rep.extras["relative_residual"] == float(
+            np.linalg.norm(h - (kx + lam * rep.beta)) / np.linalg.norm(h))
+
     def test_zero_data_reports_the_same_extras(self):
         # the early return for h = 0 reports what a full solve reports
         op = dense_op(np.eye(5))
